@@ -39,6 +39,8 @@ from .state import (
 from .store import Store
 
 DEFAULT_PUMP_TICKS = 400
+# How often the serving thread checks for shutdown; stop() waits up to this.
+SHUTDOWN_POLL_S = 0.05
 
 _ADDR_RE = re.compile(r"^[0-9a-f]{40}$")
 
@@ -359,7 +361,11 @@ class ApiServer:
         return f"http://{host}:{port}"
 
     def start(self) -> "ApiServer":
-        self._thread = threading.Thread(target=self._httpd.serve_forever, daemon=True)
+        self._thread = threading.Thread(
+            target=self._httpd.serve_forever,
+            kwargs={"poll_interval": SHUTDOWN_POLL_S},
+            daemon=True,
+        )
         self._thread.start()
         return self
 
@@ -377,10 +383,11 @@ def build_node_service(config: ServiceConfig) -> ApiServer:
 
     The process simulates the whole validator set deterministically and
     exposes the keyed validator's view over HTTP; an existing chain file is
-    loaded, verified, and fast-forwarded into every replica first.
+    loaded and verified by one full replay, whose chain and post-state every
+    replica then starts from.
     """
     from .consensus import NetworkConfig
-    from .ledger import verify_chain
+    from .ledger import audit_chain, genesis_block
     from .store import build_genesis_state, chain_path, load_genesis
     from .wallet import load_wallet
 
@@ -395,21 +402,19 @@ def build_node_service(config: ServiceConfig) -> ApiServer:
     persisted_height = -1
     if store.path.stat().st_size > 0:
         chain = store.load_chain()
-        failure = verify_chain(chain, genesis_state)
+        failure, state = audit_chain(chain, genesis_state)
         if failure is not None:
             raise ValueError(
                 f"stored chain fails verification at height {failure.height}: {failure.reason}"
             )
+        if hash_header(chain.blocks[0].header) != hash_header(genesis_block(genesis_state).header):
+            raise ValueError("stored genesis block does not match the genesis file")
         persisted_height = chain.height
-        from .ledger import append_block, execute_block
-
-        state = genesis_state
-        for block in chain.blocks[1:]:
-            state = execute_block(state, block)
+        # The chain is immutable and no replica mutates a state in place, so
+        # every replica can start from the one verified chain and state.
         committed = {tx.tx_id for block in chain.blocks for tx in block.transactions}
         for node in network.nodes.values():
-            for block in chain.blocks[1:]:
-                node.chain = append_block(node.chain, block)
+            node.chain = chain
             node.state = state
             node.committed_ids |= committed
 

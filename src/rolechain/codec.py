@@ -12,12 +12,13 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 from typing import Any
 
 ZERO_DIGEST = "0" * 64
 ZERO_ADDRESS = "0" * 40
 
-_HEXDIGITS = set("0123456789abcdef")
+_HEX_RE = re.compile("[0-9a-f]*")
 
 
 def _reject_floats(obj: Any) -> None:
@@ -65,7 +66,7 @@ def is_hex(value: Any, nbytes: int | None = None) -> bool:
         return False
     if nbytes is not None and len(value) != 2 * nbytes:
         return False
-    return all(c in _HEXDIGITS for c in value)
+    return _HEX_RE.fullmatch(value) is not None
 
 
 def require_hex(value: Any, nbytes: int, field: str) -> str:

@@ -212,33 +212,46 @@ def verify_chain(
     broken hash link between consecutive headers is attributed to the earlier
     height, since either side of the link may be the corrupted one.
     """
+    return audit_chain(chain, genesis_state, expected_tip_hash)[0]
+
+
+def audit_chain(
+    chain: Chain,
+    genesis_state: WorldState,
+    expected_tip_hash: str | None = None,
+) -> tuple[FailureAt | None, WorldState]:
+    """The audit of :func:`verify_chain`, plus the state its replay reached.
+
+    The state is the post-state of the tip when the audit passes, else of
+    the last block before the failure.
+    """
     blocks = chain.blocks
     if not blocks:
-        return FailureAt(0, "chain has no genesis block")
+        return FailureAt(0, "chain has no genesis block"), genesis_state
     g = blocks[0]
     if g.header.height != 0:
-        return FailureAt(0, "genesis height is not 0")
+        return FailureAt(0, "genesis height is not 0"), genesis_state
     if g.header.prev_hash != GENESIS_PREV_HASH:
-        return FailureAt(0, "genesis prev_hash is not all zero")
+        return FailureAt(0, "genesis prev_hash is not all zero"), genesis_state
     if g.transactions or g.events:
-        return FailureAt(0, "genesis block must carry no transactions or events")
+        return FailureAt(0, "genesis block must carry no transactions or events"), genesis_state
     if g.header.tx_root != tx_root(()):
-        return FailureAt(0, "genesis tx root mismatch")
+        return FailureAt(0, "genesis tx root mismatch"), genesis_state
     if g.header.state_root != state_root(genesis_state):
-        return FailureAt(0, "genesis state root does not match the genesis state")
+        return FailureAt(0, "genesis state root does not match the genesis state"), genesis_state
 
     st = genesis_state
     for h in range(1, len(blocks)):
         block = blocks[h]
         if block.header.height != h:
-            return FailureAt(h, f"height {block.header.height} at chain position {h}")
+            return FailureAt(h, f"height {block.header.height} at chain position {h}"), st
         if block.header.prev_hash != hash_header(blocks[h - 1].header):
-            return FailureAt(h - 1, f"hash link broken between heights {h - 1} and {h}")
+            return FailureAt(h - 1, f"hash link broken between heights {h - 1} and {h}"), st
         try:
             st = execute_block(st, block)
         except (RootMismatch, InvalidTransaction) as exc:
-            return FailureAt(h, str(exc))
+            return FailureAt(h, str(exc)), st
     if expected_tip_hash is not None:
         if hash_header(blocks[-1].header) != expected_tip_hash:
-            return FailureAt(len(blocks) - 1, "tip header does not match the trusted anchor")
-    return None
+            return FailureAt(len(blocks) - 1, "tip header does not match the trusted anchor"), st
+    return None, st

@@ -6,6 +6,13 @@ plus the audit events the change emitted. Replaying a chain of blocks from
 the genesis state reconstructs the exact same value on every node, which is
 what the per-block ``state_root`` digests pin down.
 
+``state_root`` hashes the canonical JSON of ``WorldState.to_dict()`` without
+building it: every user record, nonce entry, ``ura`` tuple and ``pra`` tuple
+is encoded once into its canonical text (a *fragment*), and a root joins the
+fragments in sorted key order. This relies on two invariants. Records are
+immutable, and a fragment is a pure function of its key and value, so it is
+reused only for the very object it was encoded from.
+
 Two relations carry the access-control model:
 
 * ``ura`` — (user address, org id, role id): who holds which role where.
@@ -14,7 +21,10 @@ Two relations carry the access-control model:
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass, field
+from itertools import compress, repeat
+from operator import is_
 from typing import TYPE_CHECKING, Any
 
 from . import codec, keys
@@ -189,6 +199,9 @@ class Event:
         return cls.make(d["kind"], attrs, d["height"], d["tx_index"])
 
 
+_NO_SECTION: tuple[list, list, list] = ([], [], [])
+
+
 @dataclass
 class WorldState:
     """The full replicated state; see module docstring for the relations."""
@@ -199,24 +212,28 @@ class WorldState:
     pra: set[tuple[str, str, Permission]] = field(default_factory=set)
     nonces: dict[str, int] = field(default_factory=dict)
 
+    # What the last state_root over this state or an ancestor left: its
+    # sections (nonces, pra, ura, users), the orgs text and the root. Not a
+    # field, so never compared; replaced, never mutated, so clones share it.
+    _fragments = ((_NO_SECTION,) * 4, None, None)
+
     def clone(self) -> "WorldState":
         # Records are immutable, so container-level copies are enough.
-        return WorldState(
+        new = WorldState(
             users=dict(self.users),
             orgs=dict(self.orgs),
             ura=set(self.ura),
             pra=set(self.pra),
             nonces=dict(self.nonces),
         )
+        new._fragments = self._fragments
+        return new
 
     def to_dict(self) -> dict:
         return {
             "nonces": {a: n for a, n in sorted(self.nonces.items())},
             "orgs": {o: rec.to_dict() for o, rec in sorted(self.orgs.items())},
-            "pra": [
-                [o, r, p.to_dict()]
-                for o, r, p in sorted(self.pra, key=lambda t: (t[0], t[1], t[2].resource, t[2].action))
-            ],
+            "pra": [[o, r, p.to_dict()] for o, r, p in sorted(self.pra, key=_pra_order)],
             "ura": [list(t) for t in sorted(self.ura)],
             "users": {a: rec.to_dict() for a, rec in sorted(self.users.items())},
         }
@@ -232,9 +249,87 @@ class WorldState:
         )
 
 
+_ABSENT = object()
+
+
+def _entry_text(key: Any, value: Any) -> bytes:
+    """Canonical bytes of the object entry ``"key":value``."""
+    return codec.canonical_bytes({key: value})[1:-1]
+
+
+def _user_text(addr: str, record: UserRecord) -> bytes:
+    return _entry_text(addr, record.to_dict())
+
+
+def _ura_text(_key, triple: tuple[str, str, str]) -> bytes:
+    return codec.canonical_bytes(list(triple))
+
+
+def _pra_text(_key, triple: tuple[str, str, Permission]) -> bytes:
+    org, role, permission = triple
+    return codec.canonical_bytes([org, role, permission.to_dict()])
+
+
+def _pra_order(triple: tuple[str, str, Permission]) -> tuple[str, str, str, str]:
+    return (triple[0], triple[1], triple[2].resource, triple[2].action)
+
+
+def _section(old: tuple[list, list, list], live: dict, encode, order=None):
+    """The fragments of *live* (key -> encoded object) as (keys, objects, texts) in key order.
+
+    *old* is the section an earlier root made and is not mutated. Its text
+    for a key is reused only when *live* still maps that key to the very
+    same object, so only changed and new entries are encoded, and the order
+    of the kept keys carries over. Except the scan for texts to encode, the
+    passes over all keys run in C.
+    """
+    keys, objs, texts = old
+    same = list(map(is_, objs, map(live.get, keys, repeat(_ABSENT))))
+    if len(keys) == len(live) and all(same):
+        return old
+    reusable = dict(compress(zip(keys, texts), same))
+    added = live.keys() - set(keys)
+    keys = list(filter(live.__contains__, keys))
+    keys += added
+    keys.sort(key=order)  # the kept keys are one sorted run already
+    objs = list(map(live.__getitem__, keys))
+    texts = list(map(reusable.get, keys))
+    for i in [i for i, text in enumerate(texts) if text is None]:
+        texts[i] = encode(keys[i], objs[i])
+    return keys, objs, texts
+
+
 def state_root(state: WorldState) -> str:
-    """SHA-256 over the canonical serialization of the whole state."""
-    return codec.digest(state.to_dict())
+    """SHA-256 over the canonical serialization of the whole state.
+
+    The preimage is ``codec.canonical_bytes(state.to_dict())``, assembled from
+    cached fragments (see the module docstring); orgs are few and are encoded
+    whole. A state whose sections and orgs are unchanged since its last root
+    returns that root. Two threads rooting one state at once are safe: each
+    builds its own sections and the last assignment wins.
+    """
+    old, old_orgs, old_root = state._fragments
+    # In the key order of to_dict(): nonces, (orgs), pra, ura, users. A set
+    # maps each member to itself, so its members are checked by identity too.
+    sections = (
+        _section(old[0], state.nonces, _entry_text),
+        _section(old[1], dict(zip(state.pra, state.pra)), _pra_text, _pra_order),
+        _section(old[2], dict(zip(state.ura, state.ura)), _ura_text),
+        _section(old[3], state.users, _user_text),
+    )
+    orgs = codec.canonical_bytes({o: rec.to_dict() for o, rec in sorted(state.orgs.items())})
+    if orgs == old_orgs and all(map(is_, sections, old)):
+        return old_root
+    # Feed the preimage section by section, so no copy of the whole is made.
+    heads = (b'{"nonces":{', b'},"orgs":' + orgs + b',"pra":[', b'],"ura":[', b'],"users":{')
+    digest = hashlib.sha256()
+    for head, (_, _, texts) in zip(heads, sections):
+        digest.update(head)
+        digest.update(b",".join(texts))
+    digest.update(b"}}")
+    root = digest.hexdigest()
+    state._fragments = (sections, orgs, root)
+    return root
 
 
 def role_holder_count(state: WorldState, org: str, role: str) -> int:

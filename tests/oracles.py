@@ -52,6 +52,94 @@ def plain_relations(state):
     return ura, pra
 
 
+_JSON_ESCAPES = {'"': '\\"', "\\": "\\\\", "\n": "\\n", "\r": "\\r", "\t": "\\t",
+                 "\b": "\\b", "\f": "\\f"}
+
+
+def _ref_str(s: str) -> str:
+    if type(s) is not str:
+        raise TypeError(f"expected a string, got {s!r}")
+    out = ['"']
+    for ch in s:
+        if ch in _JSON_ESCAPES:
+            out.append(_JSON_ESCAPES[ch])
+        elif ord(ch) < 0x20:
+            out.append("\\u%04x" % ord(ch))
+        else:
+            out.append(ch)
+    out.append('"')
+    return "".join(out)
+
+
+def _ref_scalar(v) -> str:
+    if v is None:
+        return "null"
+    if v is True:
+        return "true"
+    if v is False:
+        return "false"
+    if type(v) is int:
+        return str(v)
+    if type(v) is str:
+        return _ref_str(v)
+    raise TypeError(f"not a canonical scalar: {v!r}")
+
+
+def _ref_object(pairs) -> str:
+    """*pairs* of (key, already-encoded value), emitted in sorted key order."""
+    return "{" + ",".join(_ref_str(k) + ":" + v for k, v in sorted(pairs)) + "}"
+
+
+def _ref_array(items) -> str:
+    return "[" + ",".join(items) + "]"
+
+
+def reference_state_bytes(state) -> bytes:
+    """The canonical bytes of a WorldState, written out by hand.
+
+    Mirrors the byte contract (sorted keys, no whitespace, decimal integers,
+    no floats) field by field from the record attributes, without the codec
+    module or any ``to_dict``, so ``sha256`` of this equals ``state_root``.
+    """
+    def permission(p):
+        return _ref_object([("action", _ref_str(p.action)), ("resource", _ref_str(p.resource))])
+
+    def user(rec):
+        return _ref_object([
+            ("address", _ref_str(rec.address)),
+            ("password_digest", _ref_str(rec.password_digest)),
+            ("public_key", _ref_str(rec.public_key)),
+            ("registered_at", _ref_array(_ref_scalar(x) for x in rec.registered_at)),
+        ])
+
+    def org(rec):
+        catalog = [
+            (role, _ref_object([
+                ("max_holders", _ref_scalar(p.max_holders)),
+                ("role_id", _ref_str(p.role_id)),
+                ("self_assignable", _ref_scalar(p.self_assignable)),
+            ]))
+            for role, p in rec.role_catalog.items()
+        ]
+        return _ref_object([
+            ("admins", _ref_array(_ref_str(a) for a in sorted(rec.admins))),
+            ("org_id", _ref_str(rec.org_id)),
+            ("role_catalog", _ref_object(catalog)),
+        ])
+
+    pra = sorted(state.pra, key=lambda t: (t[0], t[1], t[2].resource, t[2].action))
+    text = _ref_object([
+        ("nonces", _ref_object([(a, _ref_scalar(n)) for a, n in state.nonces.items()])),
+        ("orgs", _ref_object([(o, org(rec)) for o, rec in state.orgs.items()])),
+        ("pra", _ref_array(
+            _ref_array([_ref_str(o), _ref_str(r), permission(p)]) for o, r, p in pra
+        )),
+        ("ura", _ref_array(_ref_array(_ref_str(x) for x in t) for t in sorted(state.ura))),
+        ("users", _ref_object([(a, user(rec)) for a, rec in state.users.items()])),
+    ])
+    return text.encode("utf-8")
+
+
 def mutate_one_byte(data: bytes, rng) -> tuple[bytes, int]:
     """Flip one random byte to a different value; returns (mutated, position)."""
     pos = rng.randrange(len(data))

@@ -7,7 +7,8 @@ import requests
 from rolechain.api import ApiServer, NodeHandle, ServiceConfig, build_node_service
 from rolechain.consensus import Network, NetworkConfig
 from rolechain.errors import API_ERROR_CODES
-from rolechain.store import save_genesis
+from rolechain.ledger import Chain, build_block, genesis_block, verify_chain
+from rolechain.store import Store, chain_path, save_genesis
 from rolechain.wallet import save_wallet
 
 
@@ -207,3 +208,32 @@ def test_build_node_service_boots_and_persists(tmp_path, genesis_file, genesis_s
     server3 = build_node_service(cfg)
     assert server3.handle.node.next_height - 1 == 2
     server3.stop()
+
+
+def test_build_node_service_refuses_a_stored_genesis_of_another_timestamp(
+    tmp_path, genesis_file, genesis_state, wallets, txf
+):
+    # A chain consistent in itself, but grown from a genesis block stamped
+    # with tick 5 instead of the genesis file's block at tick 0.
+    genesis = genesis_block(genesis_state, timestamp=5)
+    block = build_block(
+        genesis.header, [txf.register("carol", "acme", "member", nonce=0)],
+        genesis_state, wallets["v0"].address, tick=6,
+    )
+    chain = Chain(blocks=(genesis, block))
+    assert verify_chain(chain, genesis_state) is None
+    data_dir = tmp_path / "node0"
+    data_dir.mkdir()
+    store = Store(chain_path(data_dir))
+    for b in chain.blocks:
+        store.append(b)
+    save_genesis(genesis_file, tmp_path / "genesis.json")
+    save_wallet(wallets["v0"], tmp_path / "node_key.json")
+    cfg = ServiceConfig(
+        listen="127.0.0.1:0",
+        data_dir=str(data_dir),
+        genesis=str(tmp_path / "genesis.json"),
+        node_key=str(tmp_path / "node_key.json"),
+    )
+    with pytest.raises(ValueError, match="genesis"):
+        build_node_service(cfg)

@@ -6,7 +6,7 @@ from http.server import ThreadingHTTPServer
 import pytest
 from click.testing import CliRunner
 
-from rolechain.api import NodeHandle, _Handler
+from rolechain.api import SHUTDOWN_POLL_S, NodeHandle, _Handler
 from rolechain.cli import main
 from rolechain.consensus import Network, NetworkConfig
 from rolechain.scenario import load_scenario
@@ -38,7 +38,11 @@ class RecordingServer:
         self.captured = captured
         self._httpd = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
         self._httpd.node_handle = handle
-        self._thread = threading.Thread(target=self._httpd.serve_forever, daemon=True)
+        self._thread = threading.Thread(
+            target=self._httpd.serve_forever,
+            kwargs={"poll_interval": SHUTDOWN_POLL_S},
+            daemon=True,
+        )
         self._thread.start()
 
     @property

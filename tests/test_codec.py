@@ -45,6 +45,16 @@ def test_is_hex():
     assert not codec.is_hex("0f0", None)
     assert not codec.is_hex("zz", 1)
     assert not codec.is_hex(12, 1)
+    # A "$"-anchored pattern would accept a trailing newline.
+    assert not codec.is_hex("00ff\n")
+    assert not codec.is_hex("0ff\n")
+    assert not codec.is_hex("0ff\n", 2)
+    # Only ASCII 0-9 count as digits.
+    assert not codec.is_hex("\u0660\u0661")  # Arabic-Indic zero, one
+    assert not codec.is_hex("\uff10\uff41", 1)  # fullwidth "0a"
+    assert codec.is_hex("")
+    assert codec.is_hex("", 0)
+    assert not codec.is_hex("", 1)
 
 
 def test_require_hex_raises():
