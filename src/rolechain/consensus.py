@@ -341,7 +341,7 @@ def _finalize(network: Network, node: ValidatorNode, block: Block, post: WorldSt
     _prune_mempool(node)
 
 
-def _validate_proposal(network: Network, node: ValidatorNode, block: Block) -> WorldState | None:
+def _validate_proposal(node: ValidatorNode, block: Block) -> WorldState | None:
     header = block.header
     if header.height != node.next_height:
         return None
@@ -355,7 +355,7 @@ def _validate_proposal(network: Network, node: ValidatorNode, block: Block) -> W
 
 def _adopt_block(network: Network, node: ValidatorNode, block: Block) -> bool:
     """Validate and finalize a block learned through sync or a commit quorum."""
-    post = _validate_proposal(network, node, block)
+    post = _validate_proposal(node, block)
     if post is None:
         return False
     _finalize(network, node, block, post)
@@ -367,6 +367,12 @@ def _request_sync(network: Network, node: ValidatorNode, peer: str) -> None:
         return
     node.sync_inflight_until = network.tick + VIEW_TIMEOUT_TICKS
     network._send(SYNC_REQUEST, node.id, peer, {"from_height": node.next_height})
+
+
+def _send_blocks(network: Network, node: ValidatorNode, peer: str, start: int) -> None:
+    """Send *peer* up to MAX_SYNC_BLOCKS of this node's blocks from height *start*."""
+    blocks = node.chain.blocks[start : start + MAX_SYNC_BLOCKS]
+    network._send(SYNC_RESPONSE, node.id, peer, {"blocks": [b.to_dict() for b in blocks]})
 
 
 def _handle(network: Network, node: ValidatorNode, msg: Message) -> None:
@@ -386,21 +392,13 @@ def _handle(network: Network, node: ValidatorNode, msg: Message) -> None:
         if theirs > mine:
             _request_sync(network, node, msg.sender)
         elif theirs < mine:
-            blocks = node.chain.blocks[theirs + 1 : theirs + 1 + MAX_SYNC_BLOCKS]
-            network._send(
-                SYNC_RESPONSE, node.id, msg.sender,
-                {"blocks": [b.to_dict() for b in blocks]},
-            )
+            _send_blocks(network, node, msg.sender, theirs + 1)
         return
 
     if kind == SYNC_REQUEST:
         start = body["from_height"]
         if start < node.next_height:
-            blocks = node.chain.blocks[start : start + MAX_SYNC_BLOCKS]
-            network._send(
-                SYNC_RESPONSE, node.id, msg.sender,
-                {"blocks": [b.to_dict() for b in blocks]},
-            )
+            _send_blocks(network, node, msg.sender, start)
         return
 
     if kind == SYNC_RESPONSE:
@@ -425,11 +423,7 @@ def _handle(network: Network, node: ValidatorNode, msg: Message) -> None:
     if height < node.next_height:
         if kind in (PROPOSAL, VOTE) and height >= 1:
             # The sender is behind; hand it the blocks it is missing.
-            blocks = node.chain.blocks[height : height + MAX_SYNC_BLOCKS]
-            network._send(
-                SYNC_RESPONSE, node.id, msg.sender,
-                {"blocks": [b.to_dict() for b in blocks]},
-            )
+            _send_blocks(network, node, msg.sender, height)
         return
 
     if kind == PROPOSAL:
@@ -442,7 +436,7 @@ def _handle(network: Network, node: ValidatorNode, msg: Message) -> None:
             return
         block_hash = hash_header(block.header)
         if block_hash not in node.proposals:
-            post = _validate_proposal(network, node, block)
+            post = _validate_proposal(node, block)
             if post is None:
                 return
             node.proposals[block_hash] = (block, post)
@@ -470,7 +464,7 @@ def _handle(network: Network, node: ValidatorNode, msg: Message) -> None:
                 block = Block.from_dict(body["block"])
             except (ValueError, KeyError):
                 return
-            post = _validate_proposal(network, node, block)
+            post = _validate_proposal(node, block)
             if post is not None:
                 node.proposals[block_hash] = (block, post)
         _check_tallies(network, node)
@@ -624,14 +618,17 @@ def report(network: Network) -> dict:
     }
 
 
-def run_until_quiescent(network: Network, max_ticks: int) -> dict:
-    """Step until nothing is pending anywhere, or raise SimTimeout at the budget."""
-    if max_ticks <= 0:
-        raise SimTimeout(max_ticks, report(network))
+def step_until_quiescent(network: Network, max_ticks: int) -> bool:
+    """Step until nothing is pending anywhere, at most *max_ticks* times; say if it got there."""
     for _ in range(max_ticks):
         if quiescent(network):
-            return report(network)
+            return True
         step(network)
-    if quiescent(network):
+    return quiescent(network)
+
+
+def run_until_quiescent(network: Network, max_ticks: int) -> dict:
+    """Step until nothing is pending anywhere and report, or raise SimTimeout at the budget."""
+    if max_ticks > 0 and step_until_quiescent(network, max_ticks):
         return report(network)
     raise SimTimeout(max_ticks, report(network))

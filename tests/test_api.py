@@ -1,10 +1,19 @@
+import http.client
 import json
+import socket
 import threading
 
 import pytest
 import requests
 
-from rolechain.api import ApiServer, NodeHandle, ServiceConfig, build_node_service
+from rolechain import api, consensus
+from rolechain.api import (
+    MAX_BODY_BYTES,
+    ApiServer,
+    NodeHandle,
+    ServiceConfig,
+    build_node_service,
+)
 from rolechain.consensus import Network, NetworkConfig
 from rolechain.errors import API_ERROR_CODES
 from rolechain.ledger import Chain, build_block, genesis_block, verify_chain
@@ -164,6 +173,98 @@ def test_bad_signature_code_is_bad_signature(cluster, txf):
     resp = requests.post(s0.url + "/v1/transactions", data=json.dumps(doc), timeout=30)
     assert resp.status_code == 422
     assert resp.json()["code"] == "BadSignature"
+
+
+def _raw_post(sock, headers: str) -> tuple[http.client.HTTPResponse, dict]:
+    """Send a POST head (and no body) on *sock*; parse the one reply."""
+    sock.sendall(f"POST /v1/transactions HTTP/1.1\r\nHost: x\r\n{headers}\r\n".encode())
+    resp = http.client.HTTPResponse(sock)
+    resp.begin()
+    return resp, json.loads(resp.read())
+
+
+def _raw_status(sock) -> dict:
+    sock.sendall(b"GET /v1/status HTTP/1.1\r\nHost: x\r\n\r\n")
+    resp = http.client.HTTPResponse(sock)
+    resp.begin()
+    assert resp.status == 200
+    return json.loads(resp.read())
+
+
+@pytest.mark.parametrize("headers, status", [
+    ("Content-Length: -1\r\n", 400),
+    ("Content-Length: 12abc\r\n", 400),
+    ("Content-Length: 1_0\r\n", 400),
+    ("Content-Length: 0x10\r\n", 400),
+    ("Content-Length: " + "9" * 5000 + "\r\n", 400),
+    (f"Content-Length: {MAX_BODY_BYTES + 1}\r\n", 413),
+])
+def test_unframed_or_oversized_body_is_refused_and_closes(cluster, headers, status):
+    s0, _ = cluster
+    with socket.create_connection(("127.0.0.1", s0.port), timeout=10) as sock:
+        resp, body = _raw_post(sock, headers)
+        assert resp.status == status and body["code"] == "Malformed"
+        assert resp.getheader("Connection") == "close"
+        assert sock.recv(1) == b""  # the handler let go of the connection
+    with socket.create_connection(("127.0.0.1", s0.port), timeout=10) as sock:
+        assert _raw_status(sock)["height"] == 0
+
+
+@pytest.mark.parametrize("headers", ["", "Content-Length: 0 \t\r\n"])
+def test_framed_bad_post_is_refused_and_the_connection_still_answers(cluster, headers):
+    """No length (an empty body) or one with trailing whitespace keeps the framing."""
+    s0, _ = cluster
+    with socket.create_connection(("127.0.0.1", s0.port), timeout=10) as sock:
+        resp, body = _raw_post(sock, headers)
+        assert resp.status == 400 and body["code"] == "Malformed"
+        assert resp.getheader("Connection") is None
+        assert _raw_status(sock)["height"] == 0
+
+
+def test_keep_alive_connection_has_nagle_disabled(cluster, monkeypatch):
+    s0, _ = cluster
+    seen = []
+    do_get = api._Handler.do_GET
+
+    def recording_do_get(handler):
+        flag = handler.connection.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+        seen.append((id(handler.connection), flag))
+        return do_get(handler)
+
+    monkeypatch.setattr(api._Handler, "do_GET", recording_do_get)
+    conn = http.client.HTTPConnection("127.0.0.1", s0.port, timeout=10)
+    try:
+        for _ in range(2):
+            conn.request("GET", "/v1/status")
+            resp = conn.getresponse()
+            assert resp.status == 200 and json.loads(resp.read())["height"] == 0
+    finally:
+        conn.close()
+    assert len(seen) == 2 and seen[0][0] == seen[1][0]  # one connection served both
+    assert all(flag for _, flag in seen)
+
+
+def test_submit_builds_no_consensus_report(cluster, txf, monkeypatch):
+    def no_report(network):
+        raise AssertionError("a write must not build a consensus report")
+
+    monkeypatch.setattr(consensus, "report", no_report)
+    s0, _ = cluster
+    for height, tx in enumerate(
+        [txf.register("alice", "acme", "member"), txf.register("bob", "acme", "member")], 1
+    ):
+        resp = _post_tx(s0, tx)
+        assert resp.status_code == 202
+        assert resp.json()["committed_height"] == height
+
+
+def test_submit_out_of_pump_budget_is_accepted_uncommitted(genesis_file, genesis_state, txf):
+    vals = list(genesis_file.validators)
+    network = Network(NetworkConfig(validators=vals, rng_seed=77), genesis_state)
+    handle = NodeHandle(network, vals[0], chain_id="testnet", pump_ticks=1)
+    result = handle.submit(txf.register("alice", "acme", "member"))
+    assert result["accepted"] and result["committed_height"] is None
+    assert result["node_height"] == 0
 
 
 def test_service_config_env_overrides(tmp_path):

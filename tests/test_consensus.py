@@ -12,6 +12,7 @@ from rolechain.consensus import (
     quiescent,
     run_until_quiescent,
     step,
+    step_until_quiescent,
     submit_tx,
 )
 from rolechain.errors import SimTimeout
@@ -226,6 +227,47 @@ def test_determinism_identical_trace_and_report(vals, genesis_state, wallets):
     r1, r2 = run(), run()
     assert r1["trace_digest"] == r2["trace_digest"]
     assert r1 == r2
+
+
+# Reports and trace digests of the runs below, recorded when the stepping loop
+# was split out of run_until_quiescent; any change to either is a regression.
+PINNED_REPORTS = {
+    "clean": (11, "8b2f1bd9e07735c4ec587d187433e3f856218ba435c6ddf9bd41f9ca5bbc7a9d",
+              "0fcd124074093dd6f8b4a5b6e10c65b23d0ff72bfc1e0cae23bd8a8d1d35c150"),
+    "faults": (49, "1085375edfe4d449a0076c79c19bd0fefc82741120dfe95c52bd7ae43d75a31a",
+               "14ad8740686042c994c08035ae7778195f4a6b005e4b5dc88a359fefcd42d2da"),
+}
+
+
+@pytest.mark.parametrize("schedule", sorted(PINNED_REPORTS))
+def test_run_until_quiescent_report_is_pinned(vals, genesis_state, wallets, schedule):
+    from conftest import TxFactory
+
+    faults = {}
+    if schedule == "faults":
+        faults = {
+            "partition_rules": [PartitionRule(from_tick=5, to_tick=25, groups=((0, 1), (2, 3)))],
+            "crash_rules": [CrashRule(node=3, from_tick=30, to_tick=45)],
+        }
+    txf = TxFactory(wallets)
+    net = _network(vals, genesis_state, rng_seed=21, **faults)
+    submit_tx(net, txf.register("carol", "globex", "member"), via=vals[1])
+    submit_tx(net, txf.register("alice", "acme", "member"), via=vals[2])
+    submit_tx(net, txf.grant("admin_acme", "acme", "member", "ledger", "read"), via=vals[0])
+    report = run_until_quiescent(net, 400)
+    tick, trace_digest, report_digest = PINNED_REPORTS[schedule]
+    assert report["tick"] == tick and report["quiescent"]
+    assert report["trace_digest"] == trace_digest
+    assert codec.digest(report) == report_digest
+
+
+def test_step_until_quiescent_says_whether_it_got_there(vals, genesis_state, txf):
+    net = _network(vals, genesis_state, rng_seed=7)
+    assert step_until_quiescent(net, 0)  # idle: nothing to do
+    submit_tx(net, _register_tx(txf))
+    assert not step_until_quiescent(net, 1)
+    assert step_until_quiescent(net, 100)
+    assert net.nodes[vals[0]].next_height == 2
 
 
 def test_node_invariants_hold_after_faulty_run(vals, genesis_state, txf):
