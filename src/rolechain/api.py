@@ -156,8 +156,6 @@ class NodeHandle:
 class _Handler(BaseHTTPRequestHandler):
     server_version = "rolechain/0.1"
     protocol_version = "HTTP/1.1"
-    # Headers and body are two sends; Nagle would hold the body ~40 ms for a delayed ACK.
-    disable_nagle_algorithm = True
 
     # --- plumbing ---------------------------------------------------------
 
