@@ -8,7 +8,7 @@ reaches these endpoints.
 
 Error bodies are ``{"code", "message"}`` with ``code`` drawn from the closed
 vocabulary in :mod:`rolechain.errors` (contract codes plus ``Malformed``,
-``MissingParam``, ``NotFound``).
+``MissingParam``, ``NotFound``, ``Unavailable``).
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from . import codec
 from .consensus import Network, submit_tx
 # Writes pump with the bare loop, which builds no report (the bench launcher wraps this name).
 from .consensus import step_until_quiescent as run_until_quiescent
+from .errors import ReplayDivergence
 from .ledger import hash_header
 from .payloads import SignedTransaction
 from .sco import check_permission
@@ -37,7 +38,7 @@ from .state import (
     query_user,
     state_root,
 )
-from .store import Store
+from .store import Store, load_chain
 
 DEFAULT_PUMP_TICKS = 400
 # Largest accepted request body; a signed transaction is well under 2 KiB.
@@ -385,7 +386,7 @@ def build_node_service(config: ServiceConfig) -> ApiServer:
     replica then starts from.
     """
     from .consensus import NetworkConfig
-    from .ledger import audit_chain, genesis_block
+    from .ledger import genesis_block, replay
     from .store import build_genesis_state, chain_path, load_genesis
     from .wallet import load_wallet
 
@@ -399,12 +400,11 @@ def build_node_service(config: ServiceConfig) -> ApiServer:
     store = Store(chain_path(config.data_dir))
     persisted_height = -1
     if store.path.stat().st_size > 0:
-        chain = store.load_chain()
-        failure, state = audit_chain(chain, genesis_state)
-        if failure is not None:
-            raise ValueError(
-                f"stored chain fails verification at height {failure.height}: {failure.reason}"
-            )
+        chain = load_chain(store)
+        try:
+            state = replay(genesis_state, chain)
+        except ReplayDivergence as exc:
+            raise ValueError(f"stored chain fails verification at height {exc.height}: {exc}")
         if hash_header(chain.blocks[0].header) != hash_header(genesis_block(genesis_state).header):
             raise ValueError("stored genesis block does not match the genesis file")
         persisted_height = chain.height

@@ -91,12 +91,15 @@ class Ctx:
             sys.exit(EXIT_API_ERROR)
         return body
 
-    def signed(self, payload, nonce: int | None = None):
+    def submit(self, payload, nonce: int | None = None) -> None:
+        """Sign *payload* with the wallet, post it, and print the node's answer."""
         wallet = self._wallet()
         if nonce is None:
             account = self.get(f"/v1/accounts/{wallet.address}")
             nonce = account["next_nonce"]
-        return sign_transaction(wallet, _passphrase(), wallet.address, nonce, payload)
+        tx = sign_transaction(wallet, _passphrase(), wallet.address, nonce, payload)
+        result = self.post("/v1/transactions", tx.to_dict())
+        self.emit(result, _tx_human(result))
 
     def _wallet(self):
         p = Path(self.wallet_path).expanduser()
@@ -194,9 +197,7 @@ def user_register(ctx: Ctx, org, role, nonce):
         org=org,
         requested_role=role,
     )
-    tx = ctx.signed(payload, nonce)
-    result = ctx.post("/v1/transactions", tx.to_dict())
-    ctx.emit(result, _tx_human(result))
+    ctx.submit(payload, nonce)
 
 
 @main.group()
@@ -216,9 +217,7 @@ def role_update(ctx: Ctx, user_addr, org, old_role, new_role, nonce):
     payload = UpdateUserRolePayload(
         user=user_addr, org=org, old_role=old_role, new_role=new_role
     )
-    tx = ctx.signed(payload, nonce)
-    result = ctx.post("/v1/transactions", tx.to_dict())
-    ctx.emit(result, _tx_human(result))
+    ctx.submit(payload, nonce)
 
 
 # --- permissions ----------------------------------------------------------------
@@ -243,9 +242,7 @@ def _perm_options(fn):
 def perm_grant(ctx: Ctx, org, role, resource, action, nonce):
     """Grant (resource, action) to a role; admin-signed."""
     payload = GrantPermissionPayload(org=org, role=role, permission=Permission(resource, action))
-    tx = ctx.signed(payload, nonce)
-    result = ctx.post("/v1/transactions", tx.to_dict())
-    ctx.emit(result, _tx_human(result))
+    ctx.submit(payload, nonce)
 
 
 @perm.command("revoke")
@@ -256,9 +253,7 @@ def perm_grant(ctx: Ctx, org, role, resource, action, nonce):
 def perm_revoke(ctx: Ctx, org, role, resource, action, nonce):
     """Revoke (resource, action) from a role; admin-signed."""
     payload = RevokePermissionPayload(org=org, role=role, permission=Permission(resource, action))
-    tx = ctx.signed(payload, nonce)
-    result = ctx.post("/v1/transactions", tx.to_dict())
-    ctx.emit(result, _tx_human(result))
+    ctx.submit(payload, nonce)
 
 
 @perm.command("check")
@@ -293,11 +288,11 @@ def chain():
 def chain_verify(ctx: Ctx, chain_file, genesis_file, tip_hash):
     """Verify a stored chain end to end; exit 4 on any failure."""
     from .ledger import verify_chain
-    from .store import Store, build_genesis_state, load_genesis
+    from .store import Store, build_genesis_state, load_chain, load_genesis
 
     genesis_state = build_genesis_state(load_genesis(genesis_file))
     try:
-        loaded = Store(chain_file).load_chain()
+        loaded = load_chain(Store(chain_file))
     except CorruptStore as exc:
         ctx.emit(
             {"ok": False, "height": exc.height, "reason": str(exc)},

@@ -10,6 +10,8 @@ machine, in any process.
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import hashlib
 import json
 import re
@@ -73,3 +75,22 @@ def require_hex(value: Any, nbytes: int, field: str) -> str:
     if not is_hex(value, nbytes):
         raise ValueError(f"{field} must be {nbytes} bytes of lowercase hex")
     return value
+
+
+class Record:
+    """Mixin for a frozen dataclass whose wire form is its own fields, by name.
+
+    A record whose wire form converts a field keeps a hand-written codec.
+    """
+
+    def to_dict(self) -> dict:
+        return {name: getattr(self, name) for name in _field_names(type(self))}
+
+    @classmethod
+    def from_dict(cls, d: dict):
+        return cls(**{name: d[name] for name in _field_names(cls)})
+
+
+@functools.cache
+def _field_names(cls) -> tuple[str, ...]:
+    return tuple(sorted(f.name for f in dataclasses.fields(cls)))

@@ -55,9 +55,6 @@ STATUS = "Status"
 SYNC_REQUEST = "SyncRequest"
 SYNC_RESPONSE = "SyncResponse"
 
-STATUS_UP = "up"
-STATUS_CRASHED = "crashed"
-
 
 @dataclass(frozen=True)
 class CrashRule:
@@ -148,7 +145,6 @@ class ValidatorNode:
     state: WorldState
     mempool: dict[str, SignedTransaction] = field(default_factory=dict)
     mempool_arrival: dict[str, int] = field(default_factory=dict)
-    status: str = STATUS_UP
 
     view: int = 0
     view_entered: int = 0
@@ -172,9 +168,11 @@ class ValidatorNode:
                     or self.commit_tally)
 
     def admit(self, tx: SignedTransaction, tick: int) -> None:
-        if tx.tx_id not in self.mempool:
-            self.mempool[tx.tx_id] = tx
-            self.mempool_arrival[tx.tx_id] = tick
+        """Queue *tx* unless it is queued or on chain already."""
+        tx_id = tx.tx_id
+        if tx_id not in self.mempool and tx_id not in self.committed_ids:
+            self.mempool[tx_id] = tx
+            self.mempool_arrival[tx_id] = tick
 
     def evict(self, tx_id: str) -> None:
         self.mempool.pop(tx_id, None)
@@ -264,7 +262,7 @@ def submit_tx(network: Network, tx: SignedTransaction, via: str | None = None):
         None,
     )
     if entry is None:
-        return False, "BadSignature", None
+        return False, "Unavailable", None
     network.broadcast(TX_GOSSIP, entry, {"tx": tx.to_dict()})
     return True, None, tx.tx_id
 
@@ -290,10 +288,8 @@ def step(network: Network) -> Network:
     announce = tick in network.handshake_ticks
     for vid in network.config.validators:
         if network.crashed(vid, tick):
-            network.nodes[vid].status = STATUS_CRASHED
             continue
         node = network.nodes[vid]
-        node.status = STATUS_UP
         if announce:
             network.broadcast(STATUS, vid, {"height": node.next_height - 1})
         _local_actions(network, node)
@@ -312,25 +308,6 @@ def _reset_height_runtime(node: ValidatorNode) -> None:
     node.lock = None
 
 
-def _prune_mempool(node: ValidatorNode) -> None:
-    """Drop transactions that can never apply to the committed state."""
-    scratch = node.state
-    for tx_id, tx in list(node.mempool.items()):
-        if tx_id in node.committed_ids:
-            node.evict(tx_id)
-            continue
-        expected = expected_nonce(scratch, tx.sender)
-        if tx.nonce > expected:
-            continue  # may become valid after earlier nonces land
-        if tx.nonce < expected:
-            node.evict(tx_id)
-            continue
-        try:
-            scratch, _ = apply_transaction(scratch, tx)
-        except TransactionError:
-            node.evict(tx_id)
-
-
 def _finalize(network: Network, node: ValidatorNode, block: Block, post: WorldState) -> None:
     node.chain = append_block(node.chain, block)
     node.state = post
@@ -338,7 +315,8 @@ def _finalize(network: Network, node: ValidatorNode, block: Block, post: WorldSt
         node.committed_ids.add(tx.tx_id)
     _reset_height_runtime(node)
     node.view_entered = network.tick
-    _prune_mempool(node)
+    # Walking the whole mempool drops every transaction that can never apply.
+    _select_txs(node, limit=len(node.mempool))
 
 
 def _validate_proposal(node: ValidatorNode, block: Block) -> WorldState | None:
@@ -382,8 +360,7 @@ def _handle(network: Network, node: ValidatorNode, msg: Message) -> None:
         tx = SignedTransaction.from_dict(body["tx"])
         if not verify_envelope(tx):
             return
-        if tx.tx_id not in node.committed_ids:
-            node.admit(tx, network.tick)
+        node.admit(tx, network.tick)
         return
 
     if kind == STATUS:
@@ -443,8 +420,7 @@ def _handle(network: Network, node: ValidatorNode, msg: Message) -> None:
             for tx in block.transactions:
                 # Adopt the proposal's transactions so a later proposer can
                 # rebuild an equivalent block if this one stalls.
-                if tx.tx_id not in node.committed_ids:
-                    node.admit(tx, network.tick)
+                node.admit(tx, network.tick)
         node.proposal_views[view] = block_hash
         _vote_if_possible(network, node)
         _check_tallies(network, node)
@@ -558,20 +534,20 @@ def _local_actions(network: Network, node: ValidatorNode) -> None:
     )
 
 
-def _select_txs(node: ValidatorNode) -> list[SignedTransaction]:
-    """Greedily pick mempool transactions that apply cleanly, dropping dead ones."""
+def _select_txs(node: ValidatorNode, limit: int = MAX_BLOCK_TXS) -> list[SignedTransaction]:
+    """Greedily pick up to *limit* mempool transactions that apply cleanly, dropping dead ones."""
     selected: list[SignedTransaction] = []
     scratch = node.state
     dead: list[str] = []
     for tx_id, tx in node.mempool.items():
-        if len(selected) >= MAX_BLOCK_TXS:
+        if len(selected) >= limit:
             break
         if tx_id in node.committed_ids:
             dead.append(tx_id)
             continue
         expected = expected_nonce(scratch, tx.sender)
         if tx.nonce > expected:
-            continue
+            continue  # may become valid after earlier nonces land
         if tx.nonce < expected:
             dead.append(tx_id)
             continue

@@ -156,7 +156,7 @@ CONTRACT_ERROR_CODES = frozenset({
     "ReplayDivergence", "CorruptStore", "Timeout",
 })
 
-# Codes the HTTP layer may add for request-shape problems.
+# Codes the HTTP layer may add: request-shape problems, and no up validator to submit to.
 API_ERROR_CODES = CONTRACT_ERROR_CODES | frozenset({
-    "Malformed", "MissingParam", "NotFound",
+    "Malformed", "MissingParam", "NotFound", "Unavailable",
 })

@@ -17,7 +17,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import codec
-from .errors import HeightGap, InvalidTransaction, LinkMismatch, RootMismatch, TransactionError
+from .errors import (
+    HeightGap, InvalidTransaction, LinkMismatch, ReplayDivergence, RootMismatch, TransactionError,
+)
 from .payloads import SignedTransaction
 from .state import Event, WorldState, apply_transaction, state_root
 
@@ -25,7 +27,7 @@ GENESIS_PREV_HASH = codec.ZERO_DIGEST
 
 
 @dataclass(frozen=True)
-class BlockHeader:
+class BlockHeader(codec.Record):
     height: int
     prev_hash: str
     tx_root: str
@@ -42,27 +44,6 @@ class BlockHeader:
         codec.require_hex(self.proposer, 20, "proposer")
         if not isinstance(self.timestamp, int):
             raise ValueError("timestamp must be an integer tick")
-
-    def to_dict(self) -> dict:
-        return {
-            "height": self.height,
-            "prev_hash": self.prev_hash,
-            "proposer": self.proposer,
-            "state_root": self.state_root,
-            "timestamp": self.timestamp,
-            "tx_root": self.tx_root,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "BlockHeader":
-        return cls(
-            height=d["height"],
-            prev_hash=d["prev_hash"],
-            tx_root=d["tx_root"],
-            state_root=d["state_root"],
-            proposer=d["proposer"],
-            timestamp=d["timestamp"],
-        )
 
 
 @dataclass(frozen=True)
@@ -255,3 +236,14 @@ def audit_chain(
         if hash_header(blocks[-1].header) != expected_tip_hash:
             return FailureAt(len(blocks) - 1, "tip header does not match the trusted anchor"), st
     return None, st
+
+
+def replay(genesis_state: WorldState, chain: Chain) -> WorldState:
+    """The tip's post-state of *chain*, by the full audit of :func:`audit_chain`.
+
+    Raises ReplayDivergence with the first failing height and its reason.
+    """
+    failure, state = audit_chain(chain, genesis_state)
+    if failure is not None:
+        raise ReplayDivergence(failure.height, failure.reason)
+    return state

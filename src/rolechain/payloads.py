@@ -9,7 +9,7 @@ canonical wire bytes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
+from typing import ClassVar, Union, get_args
 
 from . import codec, keys
 from .state import Permission
@@ -20,8 +20,17 @@ KIND_GRANT_PERMISSION = "grant_permission"
 KIND_REVOKE_PERMISSION = "revoke_permission"
 
 
+class _Payload(codec.Record):
+    """A contract call's wire form: its fields plus its ``kind``."""
+
+    kind: ClassVar[str]
+
+    def to_dict(self) -> dict:
+        return {"kind": self.kind, **super().to_dict()}
+
+
 @dataclass(frozen=True)
-class RegisterUserPayload:
+class RegisterUserPayload(_Payload):
     user: str
     public_key: str
     password_digest: str
@@ -35,29 +44,9 @@ class RegisterUserPayload:
         codec.require_hex(self.public_key, 32, "public key")
         codec.require_hex(self.password_digest, 32, "password digest")
 
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "org": self.org,
-            "password_digest": self.password_digest,
-            "public_key": self.public_key,
-            "requested_role": self.requested_role,
-            "user": self.user,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "RegisterUserPayload":
-        return cls(
-            user=d["user"],
-            public_key=d["public_key"],
-            password_digest=d["password_digest"],
-            org=d["org"],
-            requested_role=d["requested_role"],
-        )
-
 
 @dataclass(frozen=True)
-class UpdateUserRolePayload:
+class UpdateUserRolePayload(_Payload):
     user: str
     org: str
     old_role: str
@@ -70,60 +59,29 @@ class UpdateUserRolePayload:
         if self.old_role == self.new_role:
             raise ValueError("old_role and new_role must differ")
 
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "new_role": self.new_role,
-            "old_role": self.old_role,
-            "org": self.org,
-            "user": self.user,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "UpdateUserRolePayload":
-        return cls(user=d["user"], org=d["org"], old_role=d["old_role"], new_role=d["new_role"])
-
 
 @dataclass(frozen=True)
-class GrantPermissionPayload:
+class _PermissionEdit(_Payload):
+    """One (org, role, permission) triple to add or remove; the subclass says which."""
+
     org: str
     role: str
     permission: Permission
 
+    def to_dict(self) -> dict:
+        return {**super().to_dict(), "permission": self.permission.to_dict()}
+
+    @classmethod
+    def from_dict(cls, d: dict) -> "_PermissionEdit":
+        return super().from_dict({**d, "permission": Permission.from_dict(d["permission"])})
+
+
+class GrantPermissionPayload(_PermissionEdit):
     kind = KIND_GRANT_PERMISSION
 
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "org": self.org,
-            "permission": self.permission.to_dict(),
-            "role": self.role,
-        }
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "GrantPermissionPayload":
-        return cls(org=d["org"], role=d["role"], permission=Permission.from_dict(d["permission"]))
-
-
-@dataclass(frozen=True)
-class RevokePermissionPayload:
-    org: str
-    role: str
-    permission: Permission
-
+class RevokePermissionPayload(_PermissionEdit):
     kind = KIND_REVOKE_PERMISSION
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "org": self.org,
-            "permission": self.permission.to_dict(),
-            "role": self.role,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "RevokePermissionPayload":
-        return cls(org=d["org"], role=d["role"], permission=Permission.from_dict(d["permission"]))
 
 
 Payload = Union[
@@ -133,12 +91,7 @@ Payload = Union[
     RevokePermissionPayload,
 ]
 
-_PAYLOAD_TYPES = {
-    KIND_REGISTER_USER: RegisterUserPayload,
-    KIND_UPDATE_USER_ROLE: UpdateUserRolePayload,
-    KIND_GRANT_PERMISSION: GrantPermissionPayload,
-    KIND_REVOKE_PERMISSION: RevokePermissionPayload,
-}
+_PAYLOAD_TYPES = {cls.kind: cls for cls in get_args(Payload)}
 
 
 def payload_from_dict(d: dict) -> Payload:

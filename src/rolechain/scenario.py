@@ -152,13 +152,9 @@ def _build_payload(sc: Scenario, item: dict):
             old_role=item["old_role"],
             new_role=item["new_role"],
         )
-    if op == "grant_permission":
-        return GrantPermissionPayload(
-            org=item["org"], role=item["role"],
-            permission=Permission(item["resource"], item["action"]),
-        )
-    if op == "revoke_permission":
-        return RevokePermissionPayload(
+    if op in ("grant_permission", "revoke_permission"):
+        edit = GrantPermissionPayload if op == "grant_permission" else RevokePermissionPayload
+        return edit(
             org=item["org"], role=item["role"],
             permission=Permission(item["resource"], item["action"]),
         )

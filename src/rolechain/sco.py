@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import DuplicateGrant, NotAuthorized, NotGranted, UnknownOrg, UnknownRole
-from .payloads import GrantPermissionPayload, RevokePermissionPayload, SignedTransaction
+from .payloads import SignedTransaction
 from .state import (
     EVENT_PERMISSION_GRANTED,
     EVENT_PERMISSION_REVOKED,
@@ -21,59 +21,47 @@ from .state import (
 )
 
 
-def _admin_checked_org(state: WorldState, org_id: str, sender: str):
-    org = state.orgs.get(org_id)
+def _edit_permission(
+    state: WorldState, tx: SignedTransaction, height: int, tx_index: int, grant: bool
+) -> tuple[WorldState, list[Event]]:
+    """Add (*grant*) or remove one (org, role, permission) triple as an org admin."""
+    payload = tx.payload
+    org = state.orgs.get(payload.org)
     if org is None:
-        raise UnknownOrg(org_id)
-    if sender not in org.admins:
-        raise NotAuthorized(f"{sender} is not an admin of {org_id}")
-    return org
+        raise UnknownOrg(payload.org)
+    if tx.sender not in org.admins:
+        raise NotAuthorized(f"{tx.sender} is not an admin of {payload.org}")
+    if payload.role not in org.role_catalog:
+        raise UnknownRole(f"{payload.org} has no role {payload.role!r}")
+    triple = (payload.org, payload.role, payload.permission)
+    if grant and triple in state.pra:
+        raise DuplicateGrant(f"{payload.role!r} already holds {payload.permission}")
+    if not grant and triple not in state.pra:
+        raise NotGranted(f"{payload.role!r} does not hold {payload.permission}")
+
+    new = state.clone()
+    (new.pra.add if grant else new.pra.discard)(triple)
+    event = Event.make(
+        EVENT_PERMISSION_GRANTED if grant else EVENT_PERMISSION_REVOKED,
+        {"org": payload.org, "role": payload.role, "permission": payload.permission},
+        height,
+        tx_index,
+    )
+    return new, [event]
 
 
 def grant_permission(
     state: WorldState, tx: SignedTransaction, *, height: int = 0, tx_index: int = 0
 ) -> tuple[WorldState, list[Event]]:
     """Add (org, role, permission) to the permission-role relation."""
-    payload: GrantPermissionPayload = tx.payload
-    org = _admin_checked_org(state, payload.org, tx.sender)
-    if payload.role not in org.role_catalog:
-        raise UnknownRole(f"{payload.org} has no role {payload.role!r}")
-    triple = (payload.org, payload.role, payload.permission)
-    if triple in state.pra:
-        raise DuplicateGrant(f"{payload.role!r} already holds {payload.permission}")
-
-    new = state.clone()
-    new.pra.add(triple)
-    event = Event.make(
-        EVENT_PERMISSION_GRANTED,
-        {"org": payload.org, "role": payload.role, "permission": payload.permission},
-        height,
-        tx_index,
-    )
-    return new, [event]
+    return _edit_permission(state, tx, height, tx_index, grant=True)
 
 
 def revoke_permission(
     state: WorldState, tx: SignedTransaction, *, height: int = 0, tx_index: int = 0
 ) -> tuple[WorldState, list[Event]]:
     """Remove (org, role, permission) from the permission-role relation."""
-    payload: RevokePermissionPayload = tx.payload
-    org = _admin_checked_org(state, payload.org, tx.sender)
-    if payload.role not in org.role_catalog:
-        raise UnknownRole(f"{payload.org} has no role {payload.role!r}")
-    triple = (payload.org, payload.role, payload.permission)
-    if triple not in state.pra:
-        raise NotGranted(f"{payload.role!r} does not hold {payload.permission}")
-
-    new = state.clone()
-    new.pra.discard(triple)
-    event = Event.make(
-        EVENT_PERMISSION_REVOKED,
-        {"org": payload.org, "role": payload.role, "permission": payload.permission},
-        height,
-        tx_index,
-    )
-    return new, [event]
+    return _edit_permission(state, tx, height, tx_index, grant=False)
 
 
 @dataclass(frozen=True)

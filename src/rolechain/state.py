@@ -28,10 +28,9 @@ from operator import is_
 from typing import TYPE_CHECKING, Any
 
 from . import codec, keys
-from .errors import BadNonce, BadSignature, ReplayDivergence
+from .errors import BadNonce, BadSignature
 
 if TYPE_CHECKING:  # pragma: no cover
-    from .ledger import Chain
     from .payloads import SignedTransaction
 
 MAX_ID_LENGTH = 64
@@ -55,7 +54,7 @@ def _check_id(value: str, label: str) -> str:
 
 
 @dataclass(frozen=True)
-class Permission:
+class Permission(codec.Record):
     """A (resource, action) capability, e.g. ("ledger", "read")."""
 
     resource: str
@@ -64,13 +63,6 @@ class Permission:
     def __post_init__(self):
         _check_id(self.resource, "permission resource")
         _check_id(self.action, "permission action")
-
-    def to_dict(self) -> dict:
-        return {"action": self.action, "resource": self.resource}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "Permission":
-        return cls(resource=d["resource"], action=d["action"])
 
 
 @dataclass(frozen=True)
@@ -354,16 +346,13 @@ def apply_transaction(
     and the caller keeps the exact value it passed in.
     """
     # Handler modules depend on the types above, so import them lazily here.
-    from . import payloads, sco, scu
+    from . import payloads, sco, scu, wallet
 
-    pk = bytes.fromhex(tx.public_key) if codec.is_hex(tx.public_key, 32) else b""
-    if not pk or keys.derive_address(pk) != tx.sender:
-        raise BadSignature("public key does not bind to the sender address")
     record = state.users.get(tx.sender)
     if record is not None and record.public_key != tx.public_key:
         raise BadSignature("public key differs from the registered key")
-    if not tx.verify(tx.public_key):
-        raise BadSignature("signature verification failed")
+    if not wallet.verify_envelope(tx):
+        raise BadSignature("public key does not bind to the sender, or the signature fails")
 
     expected = expected_nonce(state, tx.sender)
     if tx.nonce != expected:
@@ -384,21 +373,6 @@ def apply_transaction(
     new_state, events = handler(state, tx, height=height, tx_index=tx_index)
     new_state.nonces[tx.sender] = expected + 1
     return new_state, events
-
-
-def replay(genesis: WorldState, chain: "Chain") -> WorldState:
-    """Fold every transaction of *chain* over *genesis*, checking each block's state root."""
-    st = genesis
-    blocks = chain.blocks
-    if blocks and blocks[0].header.state_root != state_root(st):
-        raise ReplayDivergence(0)
-    for block in blocks[1:]:
-        h = block.header.height
-        for i, tx in enumerate(block.transactions):
-            st, _ = apply_transaction(st, tx, height=h, tx_index=i)
-        if block.header.state_root != state_root(st):
-            raise ReplayDivergence(h)
-    return st
 
 
 def query_user(state: WorldState, addr: str) -> UserRecord | None:

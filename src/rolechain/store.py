@@ -29,8 +29,6 @@ from .state import OrgRecord, WorldState
 logger = logging.getLogger(__name__)
 
 CHAIN_FILE = "chain.jsonl"
-GENESIS_FILE = "genesis.json"
-NODE_KEY_FILE = "node_key.json"
 
 
 # --- genesis -----------------------------------------------------------------
@@ -103,17 +101,6 @@ class Store:
             fh.flush()
             os.fsync(fh.fileno())
 
-    def load_chain(self) -> Chain:
-        return load_chain(self)
-
-
-def open_store(path: str | Path) -> Store:
-    return Store(path)
-
-
-def append(store: Store, block: Block) -> None:
-    store.append(block)
-
 
 def _parse_line(line: str) -> Block:
     doc = json.loads(line)
@@ -178,9 +165,3 @@ def load_chain(store: Store) -> Chain:
 
 def chain_path(data_dir: str | Path) -> Path:
     return Path(data_dir) / CHAIN_FILE
-
-def genesis_path(data_dir: str | Path) -> Path:
-    return Path(data_dir) / GENESIS_FILE
-
-def node_key_path(data_dir: str | Path) -> Path:
-    return Path(data_dir) / NODE_KEY_FILE

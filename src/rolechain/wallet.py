@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import os
+import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -23,7 +24,7 @@ KDF_SALT_BYTES = 16
 
 
 @dataclass(frozen=True)
-class Wallet:
+class Wallet(codec.Record):
     """Immutable wallet value; secrets are present only in sealed form."""
 
     address: str
@@ -32,27 +33,6 @@ class Wallet:
     kdf_salt: str
     kdf_iterations: int
     password_digest: str
-
-    def to_dict(self) -> dict:
-        return {
-            "address": self.address,
-            "enc_private_key": self.enc_private_key,
-            "kdf_iterations": self.kdf_iterations,
-            "kdf_salt": self.kdf_salt,
-            "password_digest": self.password_digest,
-            "public_key": self.public_key,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "Wallet":
-        return cls(
-            address=d["address"],
-            public_key=d["public_key"],
-            enc_private_key=d["enc_private_key"],
-            kdf_salt=d["kdf_salt"],
-            kdf_iterations=d["kdf_iterations"],
-            password_digest=d["password_digest"],
-        )
 
 
 def password_digest(passphrase: str, kdf_salt: bytes) -> str:
@@ -139,10 +119,22 @@ def verify_envelope(tx: SignedTransaction) -> bool:
 
 
 def save_wallet(wallet: Wallet, path: str | Path) -> None:
-    """Write the wallet file (canonical JSON, owner read/write only)."""
+    """Write the wallet file (canonical JSON, owner read/write only), replacing an old one.
+
+    A temp file created with mode 0o600 (``mkstemp``: ``O_CREAT | O_EXCL``) is
+    synced, then renamed over *path*: the key is never readable by others.
+    """
     p = Path(path)
-    p.write_text(codec.canonical_dumps(wallet.to_dict()) + "\n", encoding="utf-8")
-    os.chmod(p, 0o600)
+    fd, tmp = tempfile.mkstemp(dir=p.parent, prefix=f".{p.name}.", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            fh.write(codec.canonical_dumps(wallet.to_dict()) + "\n")
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, p)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def load_wallet(path: str | Path) -> Wallet:

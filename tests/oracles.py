@@ -140,6 +140,69 @@ def reference_state_bytes(state) -> bytes:
     return text.encode("utf-8")
 
 
+def _ref_permission(p) -> str:
+    return _ref_object([("action", _ref_str(p.action)), ("resource", _ref_str(p.resource))])
+
+
+_PAYLOAD_FIELDS = {
+    "register_user": ("user", "public_key", "password_digest", "org", "requested_role"),
+    "update_user_role": ("user", "org", "old_role", "new_role"),
+    "grant_permission": ("org", "role"),
+    "revoke_permission": ("org", "role"),
+}
+
+
+def _ref_payload(payload) -> str:
+    kind = payload.kind
+    fields = [("kind", _ref_str(kind))]
+    fields += [(name, _ref_str(getattr(payload, name))) for name in _PAYLOAD_FIELDS[kind]]
+    if kind in ("grant_permission", "revoke_permission"):
+        fields.append(("permission", _ref_permission(payload.permission)))
+    return _ref_object(fields)
+
+
+def reference_tx_bytes(tx) -> bytes:
+    """The canonical wire bytes of a SignedTransaction, written out by hand."""
+    return _ref_object([
+        ("nonce", _ref_scalar(tx.nonce)),
+        ("payload", _ref_payload(tx.payload)),
+        ("public_key", _ref_str(tx.public_key)),
+        ("sender", _ref_str(tx.sender)),
+        ("signature", _ref_str(tx.signature)),
+    ]).encode("utf-8")
+
+
+def reference_block_bytes(block) -> bytes:
+    """The canonical bytes of a whole Block (header, transactions, events), by hand."""
+    h = block.header
+    header = _ref_object([
+        ("height", _ref_scalar(h.height)),
+        ("prev_hash", _ref_str(h.prev_hash)),
+        ("proposer", _ref_str(h.proposer)),
+        ("state_root", _ref_str(h.state_root)),
+        ("timestamp", _ref_scalar(h.timestamp)),
+        ("tx_root", _ref_str(h.tx_root)),
+    ])
+    events = [
+        _ref_object([
+            ("attributes", _ref_object([
+                (k, _ref_permission(v) if k == "permission" else _ref_str(v))
+                for k, v in e.attributes
+            ])),
+            ("height", _ref_scalar(e.height)),
+            ("kind", _ref_str(e.kind)),
+            ("tx_index", _ref_scalar(e.tx_index)),
+        ])
+        for e in block.events
+    ]
+    txs = [reference_tx_bytes(tx).decode("utf-8") for tx in block.transactions]
+    return _ref_object([
+        ("events", _ref_array(events)),
+        ("header", header),
+        ("transactions", _ref_array(txs)),
+    ]).encode("utf-8")
+
+
 def mutate_one_byte(data: bytes, rng) -> tuple[bytes, int]:
     """Flip one random byte to a different value; returns (mutated, position)."""
     pos = rng.randrange(len(data))

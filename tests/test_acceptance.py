@@ -30,10 +30,10 @@ from rolechain.errors import (
     NotGranted,
     SimTimeout,
 )
-from rolechain.ledger import Block, Chain, hash_header, verify_chain
+from rolechain.ledger import Block, Chain, hash_header, replay, verify_chain
 from rolechain.sco import check_permission, grant_permission, revoke_permission
 from rolechain.scu import register_user, update_user_role
-from rolechain.state import Permission, apply_transaction, replay, state_root
+from rolechain.state import Permission, apply_transaction, state_root
 from rolechain.wallet import create_wallet, sign_transaction, verify_signature
 
 from conftest import PASSPHRASE, TxFactory, make_chain

@@ -15,7 +15,7 @@ from rolechain.consensus import (
     step_until_quiescent,
     submit_tx,
 )
-from rolechain.errors import SimTimeout
+from rolechain.errors import API_ERROR_CODES, SimTimeout
 from rolechain.state import state_root
 
 # Measured once on the reference run (seed 7, N=4, fault-free): the commit
@@ -64,6 +64,13 @@ def test_bad_signature_rejected(vals, genesis_state, txf):
     forged = dataclasses.replace(tx, signature="00" * 64)
     ok, reason, tx_id = submit_tx(net, forged)
     assert not ok and reason == "BadSignature" and tx_id is None
+
+
+def test_submit_with_every_validator_crashed_is_unavailable(vals, genesis_state, txf):
+    net = _network(vals, genesis_state, crash_rules=[CrashRule(i, 0) for i in range(4)])
+    ok, reason, tx_id = submit_tx(net, _register_tx(txf))
+    assert not ok and reason == "Unavailable" and tx_id is None
+    assert reason in API_ERROR_CODES
 
 
 def test_invalid_by_state_tx_is_dropped_not_stuck(vals, genesis_state, txf):
@@ -273,7 +280,7 @@ def test_step_until_quiescent_says_whether_it_got_there(vals, genesis_state, txf
 def test_node_invariants_hold_after_faulty_run(vals, genesis_state, txf):
     """Every replica's chain verifies and its state equals the replay of it."""
     from rolechain.ledger import verify_chain
-    from rolechain.state import replay
+    from rolechain.ledger import replay
 
     net = _network(
         vals, genesis_state, rng_seed=44,

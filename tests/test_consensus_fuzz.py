@@ -21,7 +21,8 @@ from rolechain.consensus import (
     step,
     submit_tx,
 )
-from rolechain.state import replay, state_root
+from rolechain.ledger import replay
+from rolechain.state import state_root
 
 from conftest import PASSPHRASE
 from workloads import WorkloadBuilder

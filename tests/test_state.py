@@ -3,14 +3,13 @@ import dataclasses
 import pytest
 
 from rolechain.errors import BadNonce, BadSignature, NotAuthorized, ReplayDivergence
-from rolechain.ledger import Block, Chain, new_chain
+from rolechain.ledger import Block, Chain, new_chain, replay
 from rolechain.state import (
     WorldState,
     apply_transaction,
     check_integrity,
     query_roles,
     query_user,
-    replay,
     state_root,
 )
 

@@ -7,11 +7,10 @@ from rolechain import codec
 from rolechain.errors import CorruptStore
 from rolechain.store import (
     GenesisFile,
-    append,
+    Store as open_store,
     build_genesis_state,
     load_chain,
     load_genesis,
-    open_store,
     save_genesis,
 )
 
@@ -39,7 +38,7 @@ def chain10(genesis_state, txf, wallets):
 def _write(tmp_path, chain, name="chain.jsonl"):
     store = open_store(tmp_path / name)
     for block in chain.blocks:
-        append(store, block)
+        store.append(block)
     return store
 
 
@@ -55,7 +54,7 @@ def test_every_append_prefix_loads_exactly(tmp_path, chain10, genesis_state):
     path = tmp_path / "prefix.jsonl"
     store = open_store(path)
     for n, block in enumerate(chain10.blocks, start=1):
-        append(store, block)
+        store.append(block)
         assert len(load_chain(open_store(path))) == n
 
 
@@ -68,7 +67,7 @@ def test_torn_final_line_is_truncated_with_warning(tmp_path, chain10, caplog):
     assert len(loaded) == len(chain10) - 1
     assert any("truncating torn final line" in r.message for r in caplog.records)
     # the truncation is persistent: appending after recovery keeps a clean file
-    append(store, chain10.blocks[-1])
+    store.append(chain10.blocks[-1])
     assert len(load_chain(open_store(store.path))) == len(chain10)
 
 
@@ -123,7 +122,8 @@ def test_empty_store_is_corrupt(tmp_path):
 
 
 def test_replay_from_disk_matches_incremental_build(tmp_path, chain10, genesis_state):
-    from rolechain.state import replay, state_root
+    from rolechain.ledger import replay
+    from rolechain.state import state_root
 
     store = _write(tmp_path, chain10)
     loaded = load_chain(store)

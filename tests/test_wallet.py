@@ -1,4 +1,5 @@
 import json
+import os
 
 import pytest
 from hypothesis import given, settings
@@ -174,6 +175,24 @@ def test_wallet_file_permissions(tmp_path):
     path = tmp_path / "w.json"
     save_wallet(_wallet(), path)
     assert path.stat().st_mode & 0o777 == 0o600
+
+
+def test_wallet_file_is_private_from_creation_without_chmod(tmp_path, monkeypatch):
+    """With chmod a no-op, a new file and an overwritten 0o644 one both end 0o600."""
+    monkeypatch.setattr(os, "chmod", lambda *args, **kwargs: None)
+    fresh, old = tmp_path / "fresh.json", tmp_path / "old.json"
+    umask = os.umask(0o022)
+    try:
+        old.write_text("{}\n")
+        assert old.stat().st_mode & 0o777 == 0o644
+        save_wallet(_wallet(), fresh)
+        save_wallet(_wallet(), old)
+    finally:
+        os.umask(umask)
+    for path in (fresh, old):
+        assert path.stat().st_mode & 0o777 == 0o600
+        assert load_wallet(path) == _wallet()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["fresh.json", "old.json"]
 
 
 def test_address_collision_freedom_at_desk_scale():
