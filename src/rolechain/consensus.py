@@ -20,6 +20,15 @@ of scope, per the trusted-validator setting):
   them by full replay. When a fault window closes (partition heals, node
   revives) every node announces its tip once, modeling the handshake of a
   re-established connection; that exchange triggers the block sync.
+* Replicas in one process share one execution of a block. A replica
+  validates a block by executing it on its committed state, unless that
+  very state object already carries the block's post-state (the proposer's
+  ``build_block`` left it there, or another replica executed it): then it
+  only checks the block's transactions against ``tx_root`` and its events
+  against the remembered ones. The first replica to finalize a height drops
+  the memo of the state it leaves. ``ledger.verify_chain``, ``chain verify``
+  and the node's cold-start replay never read the memo; they re-execute
+  every block.
 
 Everything is a pure function of (config, workload, seed): messages carry a
 global sequence number and deliver in (tick, sender, sequence) order, and
@@ -34,7 +43,10 @@ from dataclasses import dataclass, field
 
 from . import codec
 from .errors import ChainError, SimTimeout, TransactionError
-from .ledger import Block, Chain, append_block, build_block, execute_block, hash_header, new_chain
+from .ledger import (
+    Block, BlockHeader, Chain, append_block, build_block, execute_block, forget_posts, hash_header,
+    new_chain, recall_post, remember_post, tx_root,
+)
 from .payloads import SignedTransaction
 from .state import WorldState, apply_transaction, expected_nonce, state_root
 from .wallet import verify_envelope
@@ -186,7 +198,6 @@ class Network:
         if not config.validators:
             raise ValueError("at least one validator is required")
         self.config = config
-        self.genesis_state = genesis_state
         self.tick = 0
         self.queue: list[Message] = []
         self.seq = 0
@@ -310,6 +321,10 @@ def _reset_height_runtime(node: ValidatorNode) -> None:
 
 def _finalize(network: Network, node: ValidatorNode, block: Block, post: WorldState) -> None:
     node.chain = append_block(node.chain, block)
+    # Drop the memo of the state left behind: a replica that stays on it
+    # (crashed, cut off) would otherwise keep every later state alive. One
+    # that catches up later executes the blocks itself.
+    forget_posts(node.state)
     node.state = post
     for tx in block.transactions:
         node.committed_ids.add(tx.tx_id)
@@ -319,21 +334,30 @@ def _finalize(network: Network, node: ValidatorNode, block: Block, post: WorldSt
     _select_txs(node, limit=len(node.mempool))
 
 
-def _validate_proposal(node: ValidatorNode, block: Block) -> WorldState | None:
+def _validate_proposal(node: ValidatorNode, block: Block, block_hash: str) -> WorldState | None:
+    """The post-state of *block* (whose header hashes to *block_hash*) on *node*, or None."""
     header = block.header
     if header.height != node.next_height:
         return None
     if header.prev_hash != hash_header(node.chain.tip.header):
         return None
+    known = recall_post(node.state, block_hash)
+    if known is not None:
+        post, events = known
+        if tx_root(block.transactions) != header.tx_root or block.events != events:
+            return None
+        return post
     try:
-        return execute_block(node.state, block)
+        post = execute_block(node.state, block)
     except (ChainError, TransactionError):
         return None
+    remember_post(node.state, block_hash, post, block.events)
+    return post
 
 
 def _adopt_block(network: Network, node: ValidatorNode, block: Block) -> bool:
-    """Validate and finalize a block learned through sync or a commit quorum."""
-    post = _validate_proposal(node, block)
+    """Validate and finalize a block learned through sync."""
+    post = _validate_proposal(node, block, hash_header(block.header))
     if post is None:
         return False
     _finalize(network, node, block, post)
@@ -413,7 +437,7 @@ def _handle(network: Network, node: ValidatorNode, msg: Message) -> None:
             return
         block_hash = hash_header(block.header)
         if block_hash not in node.proposals:
-            post = _validate_proposal(node, block)
+            post = _validate_proposal(node, block, block_hash)
             if post is None:
                 return
             node.proposals[block_hash] = (block, post)
@@ -433,14 +457,20 @@ def _handle(network: Network, node: ValidatorNode, msg: Message) -> None:
         return
 
     if kind == COMMIT:
-        block_hash = body["block_hash"]
+        # A commit counts only for the block it carries.
+        try:
+            block_hash = hash_header(BlockHeader.from_dict(body["block"]["header"]))
+        except (ValueError, KeyError):
+            return
+        if block_hash != body["block_hash"]:
+            return
         node.commit_tally.setdefault(block_hash, set()).add(msg.sender)
         if block_hash not in node.proposals:
             try:
                 block = Block.from_dict(body["block"])
             except (ValueError, KeyError):
                 return
-            post = _validate_proposal(node, block)
+            post = _validate_proposal(node, block, block_hash)
             if post is not None:
                 node.proposals[block_hash] = (block, post)
         _check_tallies(network, node)

@@ -219,6 +219,32 @@ def test_consensus_safety_no_conflicting_commits_each_tick(vals, genesis_state, 
     ])
 
 
+def test_commit_whose_block_is_not_the_claimed_one_is_dropped(vals, genesis_file, txf):
+    """A commit quorum for one block hash must not finalize a different block."""
+    from rolechain.consensus import COMMIT, Message, _handle
+    from rolechain.ledger import build_block, hash_header
+    from rolechain.store import build_genesis_state
+
+    net = _network(vals, build_genesis_state(genesis_file))
+    node = net.nodes[vals[0]]
+    tip = node.chain.tip.header
+    honest = build_block(tip, [txf.register("alice", "acme", "member")], node.state, vals[1], 1)
+    other = build_block(tip, [txf.register("bob", "acme", "member")], node.state, vals[1], 1)
+    claimed = hash_header(honest.header)
+
+    def commit_from_each_peer(block):
+        for seq, sender in enumerate(vals[1:]):
+            body = {"height": 1, "block_hash": claimed, "block": block.to_dict()}
+            _handle(net, node, Message(COMMIT, sender, node.id, body, net.tick, seq))
+
+    commit_from_each_peer(other)
+    assert node.chain.height == 0
+    assert node.proposals == {} and node.commit_tally == {}
+
+    commit_from_each_peer(honest)
+    assert node.chain.height == 1 and node.chain.tip == honest
+
+
 def test_determinism_identical_trace_and_report(vals, genesis_state, wallets):
     from conftest import TxFactory
 

@@ -1,0 +1,282 @@
+"""The post-state memo: replicas in one process share one execution of a block.
+
+``ledger.build_block`` and a replica's full ``execute_block`` leave the
+post-state on the pre-state object, and a replica validating the same block
+on the same object reuses it. These tests pin what that may not change:
+
+* a differential run against the same schedules with every lookup missing
+  gives the same chains, roots, report and trace digest;
+* a block whose header hash is memoized but whose body was altered is still
+  refused;
+* the audits (``verify_chain``, ``replay``) never read the memo;
+* a replica left behind on an old state does not keep later states alive.
+"""
+
+import dataclasses
+import gc
+from unittest import mock
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from rolechain import consensus, ledger
+from rolechain.consensus import (
+    COMMIT,
+    PROPOSAL,
+    VOTE,
+    CrashRule,
+    DropRule,
+    Message,
+    Network,
+    NetworkConfig,
+    PartitionRule,
+    quiescent,
+    report,
+    step,
+    step_until_quiescent,
+    submit_tx,
+)
+from rolechain.errors import ReplayDivergence
+from rolechain.ledger import (
+    build_block, hash_header, recall_post, remember_post, replay, verify_chain,
+)
+from rolechain.state import WorldState, state_root
+from rolechain.store import build_genesis_state
+
+from conftest import PASSPHRASE
+from workloads import WorkloadBuilder
+
+HORIZON = 200
+SETTLE_TICKS = 800
+N_NODES = 4
+
+
+def _never(state, block_hash):
+    return None
+
+
+def _window(draw, min_len: int, max_len: int) -> tuple[int, int]:
+    start = draw(st.integers(0, HORIZON // 2))
+    return start, start + draw(st.integers(min_len, max_len))
+
+
+@st.composite
+def fault_schedules(draw):
+    partitions = []
+    for _ in range(draw(st.integers(0, 2))):
+        start, end = _window(draw, 10, 60)
+        nodes = draw(st.permutations(range(N_NODES)))
+        cut = draw(st.integers(1, N_NODES - 1))
+        partitions.append(PartitionRule(start, end, (tuple(nodes[:cut]), tuple(nodes[cut:]))))
+    crashes = []
+    for _ in range(draw(st.integers(0, 1))):
+        start, end = _window(draw, 10, 50)
+        forever = draw(st.booleans())
+        crashes.append(CrashRule(draw(st.integers(0, N_NODES - 1)), start, None if forever else end))
+    drops = []
+    for _ in range(draw(st.integers(0, 3))):
+        start, end = _window(draw, 5, 40)
+        src, dst = draw(st.integers(0, N_NODES - 1)), draw(st.integers(0, N_NODES - 1))
+        drops.append(DropRule(src, dst, start, end))
+    return partitions, crashes, drops
+
+
+def _run(genesis_file, vals, schedule, rng_seed, submissions):
+    """Run one network to the horizon and then to quiescence; return what it committed."""
+    partitions, crashes, drops = schedule
+    net = Network(
+        NetworkConfig(
+            validators=vals, rng_seed=rng_seed,
+            partition_rules=partitions, crash_rules=crashes, drop_rules=drops,
+        ),
+        build_genesis_state(genesis_file),
+    )
+    for _ in range(HORIZON):
+        for tx, via in submissions.get(net.tick, ()):
+            submit_tx(net, tx, via=vals[via])
+        step(net)
+    step_until_quiescent(net, SETTLE_TICKS)
+    chains = {v: [hash_header(b.header) for b in net.nodes[v].chain.blocks] for v in vals}
+    roots = {v: state_root(net.nodes[v].state) for v in vals}
+    return chains, roots, report(net)
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    schedule=fault_schedules(),
+    rng_seed=st.integers(0, 2**16),
+    workload_seed=st.integers(0, 3),
+    ticks=st.lists(st.tuples(st.integers(1, HORIZON // 2), st.integers(0, N_NODES - 1)),
+                   min_size=10, max_size=10),
+)
+def test_memo_changes_no_outcome_under_random_fault_schedules(
+    genesis_file, wallets, schedule, rng_seed, workload_seed, ticks
+):
+    vals = list(genesis_file.validators)
+    wb = WorkloadBuilder(genesis_file, seed=workload_seed, n_users=6)
+    wb.attach_admins({w.address: w for w in wallets.values()}, PASSPHRASE)
+    submissions: dict[int, list] = {}
+    for tx, (tick, via) in zip(wb.generate(10), ticks):
+        submissions.setdefault(tick, []).append((tx, via))
+
+    executes = []
+    original = consensus.execute_block
+
+    def counted(state, block):
+        executes[-1] += 1
+        return original(state, block)
+
+    with mock.patch.object(consensus, "execute_block", counted):
+        executes.append(0)
+        shipped = _run(genesis_file, vals, schedule, rng_seed, submissions)
+        executes.append(0)
+        with mock.patch.object(consensus, "recall_post", _never):
+            missing = _run(genesis_file, vals, schedule, rng_seed, submissions)
+
+    assert shipped == missing
+    if max(len(chain) for chain in shipped[0].values()) > 1:
+        assert executes[0] < executes[1]
+
+
+def _deliver(net, node, kind, sender, body):
+    net.seq += 1
+    consensus._handle(net, node, Message(kind, sender, node.id, body, net.tick, net.seq))
+
+
+def _votes_from(net, node_id):
+    return [m for m in net.queue if m.kind == VOTE and m.sender == node_id]
+
+
+def _tampered(block, other_tx, part):
+    if part == "events":
+        return dataclasses.replace(block, events=block.events[:-1])
+    return dataclasses.replace(block, transactions=(other_tx,))
+
+
+@pytest.mark.parametrize("part", ["events", "transactions"])
+@pytest.mark.parametrize("kind", [PROPOSAL, COMMIT])
+def test_altered_body_under_a_memoized_header_is_refused(genesis_file, txf, kind, part):
+    vals = list(genesis_file.validators)
+    net = Network(NetworkConfig(validators=vals), build_genesis_state(genesis_file))
+    node = net.nodes[vals[0]]
+    proposer = net.proposer_for(1, 0)
+    block = build_block(
+        node.chain.tip.header, [txf.register("alice", "acme", "member")], node.state, proposer, 1
+    )
+    block_hash = hash_header(block.header)
+    assert recall_post(node.state, block_hash) is not None
+    bad = _tampered(block, txf.register("bob", "acme", "member"), part)
+    assert hash_header(bad.header) == block_hash
+
+    if kind == PROPOSAL:
+        body = {"height": 1, "view": 0, "proposer": proposer, "block": bad.to_dict()}
+    else:
+        body = {"height": 1, "block_hash": block_hash, "block": bad.to_dict()}
+    _deliver(net, node, kind, proposer, body)
+    assert node.proposals == {}
+    assert _votes_from(net, node.id) == []
+
+    # The honest block is then taken from the memo, without executing it.
+    with mock.patch.object(consensus, "execute_block", side_effect=AssertionError):
+        body["block"] = block.to_dict()
+        _deliver(net, node, kind, proposer, body)
+    assert node.proposals[block_hash][0] == block
+    assert node.proposals[block_hash][1] is recall_post(node.state, block_hash)[0]
+
+
+def _memo_read(*args):
+    raise AssertionError("the memo was read")
+
+
+@pytest.fixture
+def built_chain(genesis_file, txf):
+    """A chain committed by a Network in this process, with its genesis state's memo seeded."""
+    vals = list(genesis_file.validators)
+    genesis = build_genesis_state(genesis_file)
+    net = Network(NetworkConfig(validators=vals, rng_seed=5), genesis)
+    for tx in (
+        txf.register("alice", "acme", "member"),
+        txf.register("bob", "acme", "member"),
+        txf.grant("admin_acme", "acme", "member", "ledger", "read"),
+    ):
+        submit_tx(net, tx)
+        assert step_until_quiescent(net, 100)
+    chain = net.nodes[vals[0]].chain
+    assert chain.height == 3
+    # Finalizing dropped the genesis memo; rebuilding block 1 seeds it again,
+    # so a memo-reading audit would find every height-1 header there.
+    first = chain.blocks[1]
+    rebuilt = build_block(
+        chain.blocks[0].header, list(first.transactions), genesis,
+        first.header.proposer, first.header.timestamp,
+    )
+    assert rebuilt == first and recall_post(genesis, hash_header(first.header)) is not None
+    return genesis, chain
+
+
+def _with_block(chain, height, block):
+    return dataclasses.replace(
+        chain, blocks=chain.blocks[:height] + (block,) + chain.blocks[height + 1:]
+    )
+
+
+@pytest.mark.parametrize("height,part", [(1, "events"), (2, "transactions")])
+def test_audits_name_a_tampered_block_without_reading_the_memo(
+    built_chain, txf, monkeypatch, height, part
+):
+    genesis, chain = built_chain
+    bad = _tampered(chain.blocks[height], txf.register("carol", "acme", "member"), part)
+    tampered = _with_block(chain, height, bad)
+
+    for module in (ledger, consensus):
+        monkeypatch.setattr(module, "recall_post", _memo_read)
+    monkeypatch.setattr(WorldState, "_posts", property(_memo_read))
+    with pytest.raises(AssertionError, match="memo was read"):
+        genesis._posts
+
+    assert verify_chain(chain, genesis) is None
+    assert state_root(replay(genesis, chain)) == chain.tip.header.state_root
+    failure = verify_chain(tampered, genesis)
+    assert failure is not None and failure.height == height
+    with pytest.raises(ReplayDivergence) as exc:
+        replay(genesis, tampered)
+    assert exc.value.height == height
+
+
+def _live_states() -> int:
+    gc.collect()
+    return sum(isinstance(o, WorldState) for o in gc.get_objects())
+
+
+def test_replica_crashed_forever_keeps_no_later_state_alive(genesis_file, txf):
+    vals = list(genesis_file.validators)
+    net = Network(
+        NetworkConfig(validators=vals, rng_seed=3, crash_rules=[CrashRule(node=3, from_tick=0)]),
+        build_genesis_state(genesis_file),
+    )
+    n = 5
+
+    def commit(count):
+        for _ in range(count):
+            height = net.nodes[vals[0]].chain.height
+            submit_tx(net, txf.grant("admin_acme", "acme", "member", f"r{height}", "read"))
+            assert step_until_quiescent(net, 100)
+            assert net.nodes[vals[0]].chain.height == height + 1
+
+    commit(n)
+    after_n = _live_states()
+    commit(3 * n)
+    assert quiescent(net)
+    assert net.nodes[vals[3]].chain.height == 0
+    assert _live_states() == after_n
+
+
+def test_memo_is_not_a_field_and_not_cloned(genesis_file):
+    state = build_genesis_state(genesis_file)
+    post = state.clone()
+    remember_post(state, "ab" * 32, post, ())
+    assert recall_post(state, "ab" * 32) == (post, ())
+    assert recall_post(state.clone(), "ab" * 32) is None
+    assert state == build_genesis_state(genesis_file)
+    assert "_posts" not in state.to_dict()
