@@ -123,10 +123,9 @@ class NodeHandle:
     def _persist_locked(self) -> None:
         if self.store is None:
             return
-        for block in self.node.chain.blocks:
-            if block.header.height > self._persisted_height:
-                self.store.append(block)
-                self._persisted_height = block.header.height
+        for block in self.node.chain.blocks[self._persisted_height + 1:]:
+            self.store.append(block)
+            self._persisted_height = block.header.height
 
     def submit(self, tx: SignedTransaction) -> dict:
         with self.lock:
@@ -157,6 +156,11 @@ class NodeHandle:
 class _Handler(BaseHTTPRequestHandler):
     server_version = "rolechain/0.1"
     protocol_version = "HTTP/1.1"
+    # Send each reply at once: a buffered writer joins the headers and body
+    # into one write, flushed at the end of every request, and with Nagle
+    # off that write does not wait for the client's delayed ACK.
+    disable_nagle_algorithm = True
+    wbufsize = -1
 
     # --- plumbing ---------------------------------------------------------
 
@@ -410,11 +414,12 @@ def build_node_service(config: ServiceConfig) -> ApiServer:
         persisted_height = chain.height
         # The chain is immutable and no replica mutates a state in place, so
         # every replica can start from the one verified chain and state.
-        committed = {tx.tx_id for block in chain.blocks for tx in block.transactions}
         for node in network.nodes.values():
             node.chain = chain
             node.state = state
-            node.committed_ids |= committed
+        network.tx_heights.update(
+            (tx.tx_id, block.header.height) for block in chain.blocks for tx in block.transactions
+        )
 
     handle = NodeHandle(
         network, node_key.address, chain_id=genesis.chain_id,

@@ -59,7 +59,38 @@ def sha256_hex(data: bytes) -> str:
 
 def digest(obj: Any) -> str:
     """SHA-256 (lowercase hex) of the canonical bytes of *obj*."""
+    if isinstance(obj, DigestLog):
+        return obj.hexdigest()
     return sha256_hex(canonical_bytes(obj))
+
+
+class DigestLog(list):
+    """An append-only log that keeps only its count and a running digest.
+
+    ``digest(log)`` equals ``digest`` of a plain list of the appended
+    values, and ``len(log)`` is their count, but no value is retained: the
+    list itself stays empty, so iterating it yields nothing and indexing it
+    fails. It stays a ``list`` for readers of the list of values it replaced.
+    """
+
+    def __init__(self):
+        super().__init__()
+        self._sha = hashlib.sha256(b"[")
+        self._count = 0
+
+    def append(self, value: Any) -> None:
+        if self._count:
+            self._sha.update(b",")
+        self._sha.update(canonical_bytes(value))
+        self._count += 1
+
+    def __len__(self) -> int:
+        return self._count
+
+    def hexdigest(self) -> str:
+        sha = self._sha.copy()
+        sha.update(b"]")
+        return sha.hexdigest()
 
 
 def is_hex(value: Any, nbytes: int | None = None) -> bool:

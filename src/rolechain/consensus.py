@@ -28,12 +28,14 @@ of scope, per the trusted-validator setting):
   against the remembered ones. The first replica to finalize a height drops
   the memo of the state it leaves. ``ledger.verify_chain``, ``chain verify``
   and the node's cold-start replay never read the memo; they re-execute
-  every block.
+  every block. The recipients of one broadcast likewise share one parse of
+  its body (``Message.parse``), and one index of committed tx ids.
 
 Everything is a pure function of (config, workload, seed): messages carry a
 global sequence number and deliver in (tick, sender, sequence) order, and
 per-message latency comes from one seeded RNG. Two runs with equal inputs
-produce byte-identical message traces and reports.
+produce byte-identical message traces and reports. The trace is kept only
+as a count and a running digest (``codec.DigestLog``).
 """
 
 from __future__ import annotations
@@ -136,6 +138,8 @@ class Message:
     body: dict
     deliver_at_tick: int
     seq: int
+    # Parsed forms of *body*, shared by every recipient of one broadcast.
+    parsed: dict = field(default_factory=dict, repr=False, compare=False)
 
     def fingerprint(self) -> dict:
         return {
@@ -146,6 +150,24 @@ class Message:
             "seq": self.seq,
             "tick": self.deliver_at_tick,
         }
+
+    def parse(self, parser):
+        """``parser(self.body)``, run once per broadcast; its result is frozen and shared.
+
+        A ValueError or KeyError it raised is raised again for every
+        recipient, so each one refuses the message.
+        """
+        memo = self.parsed.get(parser)
+        if memo is None:
+            try:
+                memo = parser(self.body), None
+            except (ValueError, KeyError) as exc:
+                memo = None, exc.with_traceback(None)
+            self.parsed[parser] = memo
+        value, error = memo
+        if error is not None:
+            raise error
+        return value
 
 
 @dataclass
@@ -168,7 +190,7 @@ class ValidatorNode:
     proposals: dict = field(default_factory=dict)       # hash -> (Block, post_state)
     proposal_views: dict = field(default_factory=dict)  # view -> hash
     lock: str | None = None                             # hash of locked block
-    committed_ids: set = field(default_factory=set)     # tx ids already on chain
+    tx_heights: dict = field(default_factory=dict)      # tx id -> committed height
     sync_inflight_until: int = -1
 
     @property
@@ -179,10 +201,13 @@ class ValidatorNode:
         return bool(self.mempool or self.lock or self.proposals or self.vote_tally
                     or self.commit_tally)
 
+    def on_chain(self, tx_id: str) -> bool:
+        return self.tx_heights.get(tx_id, self.next_height) < self.next_height
+
     def admit(self, tx: SignedTransaction, tick: int) -> None:
         """Queue *tx* unless it is queued or on chain already."""
         tx_id = tx.tx_id
-        if tx_id not in self.mempool and tx_id not in self.committed_ids:
+        if tx_id not in self.mempool and not self.on_chain(tx_id):
             self.mempool[tx_id] = tx
             self.mempool_arrival[tx_id] = tick
 
@@ -202,9 +227,17 @@ class Network:
         self.queue: list[Message] = []
         self.seq = 0
         self.rng = random.Random(config.rng_seed)
-        self.trace: list[dict] = []
+        # Message fingerprints, kept only as their count and running digest.
+        self.trace = codec.DigestLog()
+        # Committed height of every tx id. Finality is unique, so every
+        # replica shares this one index: a tx is on a replica's chain iff its
+        # height is below the replica's next height.
+        self.tx_heights: dict[str, int] = {}
         self.nodes: dict[str, ValidatorNode] = {
-            v: ValidatorNode(id=v, chain=new_chain(genesis_state), state=genesis_state)
+            v: ValidatorNode(
+                id=v, chain=new_chain(genesis_state), state=genesis_state,
+                tx_heights=self.tx_heights,
+            )
             for v in config.validators
         }
         # Ticks at which connectivity changes back: every node announces its
@@ -240,18 +273,22 @@ class Network:
 
     # --- messaging ---------------------------------------------------------
 
-    def _send(self, kind: str, sender: str, recipient: str, body: dict) -> None:
+    def _send(
+        self, kind: str, sender: str, recipient: str, body: dict, parsed: dict | None = None
+    ) -> None:
         self.seq += 1
         latency = 1 + self.rng.randrange(2)
-        self.queue.append(
-            Message(kind, sender, recipient, body, self.tick + latency, self.seq)
-        )
+        self.queue.append(Message(
+            kind, sender, recipient, body, self.tick + latency, self.seq,
+            {} if parsed is None else parsed,
+        ))
 
     def broadcast(self, kind: str, sender: str, body: dict) -> None:
         # Includes the sender itself: every node handles every message the
         # same way, which keeps the protocol logic uniform.
+        parsed: dict = {}
         for v in self.config.validators:
-            self._send(kind, sender, v, body)
+            self._send(kind, sender, v, body, parsed)
 
     def proposer_for(self, height: int, view: int) -> str:
         vals = self.config.validators
@@ -327,7 +364,7 @@ def _finalize(network: Network, node: ValidatorNode, block: Block, post: WorldSt
     forget_posts(node.state)
     node.state = post
     for tx in block.transactions:
-        node.committed_ids.add(tx.tx_id)
+        node.tx_heights.setdefault(tx.tx_id, block.header.height)
     _reset_height_runtime(node)
     node.view_entered = network.tick
     # Walking the whole mempool drops every transaction that can never apply.
@@ -377,11 +414,24 @@ def _send_blocks(network: Network, node: ValidatorNode, peer: str, start: int) -
     network._send(SYNC_RESPONSE, node.id, peer, {"blocks": [b.to_dict() for b in blocks]})
 
 
+def _gossiped_tx(body: dict) -> SignedTransaction:
+    return SignedTransaction.from_dict(body["tx"])
+
+
+def _carried_block(body: dict) -> tuple[Block, str]:
+    block = Block.from_dict(body["block"])
+    return block, hash_header(block.header)
+
+
+def _carried_hash(body: dict) -> str:
+    return hash_header(BlockHeader.from_dict(body["block"]["header"]))
+
+
 def _handle(network: Network, node: ValidatorNode, msg: Message) -> None:
     kind, body = msg.kind, msg.body
 
     if kind == TX_GOSSIP:
-        tx = SignedTransaction.from_dict(body["tx"])
+        tx = msg.parse(_gossiped_tx)
         if not verify_envelope(tx):
             return
         node.admit(tx, network.tick)
@@ -432,10 +482,9 @@ def _handle(network: Network, node: ValidatorNode, msg: Message) -> None:
         if body["proposer"] != network.proposer_for(height, view):
             return
         try:
-            block = Block.from_dict(body["block"])
+            block, block_hash = msg.parse(_carried_block)
         except (ValueError, KeyError):
             return
-        block_hash = hash_header(block.header)
         if block_hash not in node.proposals:
             post = _validate_proposal(node, block, block_hash)
             if post is None:
@@ -459,7 +508,7 @@ def _handle(network: Network, node: ValidatorNode, msg: Message) -> None:
     if kind == COMMIT:
         # A commit counts only for the block it carries.
         try:
-            block_hash = hash_header(BlockHeader.from_dict(body["block"]["header"]))
+            block_hash = msg.parse(_carried_hash)
         except (ValueError, KeyError):
             return
         if block_hash != body["block_hash"]:
@@ -467,7 +516,7 @@ def _handle(network: Network, node: ValidatorNode, msg: Message) -> None:
         node.commit_tally.setdefault(block_hash, set()).add(msg.sender)
         if block_hash not in node.proposals:
             try:
-                block = Block.from_dict(body["block"])
+                block, _ = msg.parse(_carried_block)
             except (ValueError, KeyError):
                 return
             post = _validate_proposal(node, block, block_hash)
@@ -572,7 +621,7 @@ def _select_txs(node: ValidatorNode, limit: int = MAX_BLOCK_TXS) -> list[SignedT
     for tx_id, tx in node.mempool.items():
         if len(selected) >= limit:
             break
-        if tx_id in node.committed_ids:
+        if node.on_chain(tx_id):
             dead.append(tx_id)
             continue
         expected = expected_nonce(scratch, tx.sender)

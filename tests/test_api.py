@@ -223,14 +223,23 @@ def test_framed_bad_post_is_refused_and_the_connection_still_answers(cluster, he
 
 def test_keep_alive_connection_serves_two_requests(cluster, monkeypatch):
     s0, _ = cluster
-    seen = []
+    seen, nodelay, sends = [], [], []
     do_get = api._Handler.do_GET
 
     def recording_do_get(handler):
-        seen.append(id(handler.connection))
+        seen.append(handler.connection)
+        nodelay.append(handler.connection.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY))
         return do_get(handler)
 
+    def recording(send):
+        def recorded(sock, data, *args):
+            sends.append((sock, len(data)))  # before the bytes leave, so before the reply lands
+            return send(sock, data, *args)
+        return recorded
+
     monkeypatch.setattr(api._Handler, "do_GET", recording_do_get)
+    for name in ("send", "sendall"):
+        monkeypatch.setattr(socket.socket, name, recording(getattr(socket.socket, name)))
     conn = http.client.HTTPConnection("127.0.0.1", s0.port, timeout=10)
     try:
         for _ in range(2):
@@ -239,7 +248,10 @@ def test_keep_alive_connection_serves_two_requests(cluster, monkeypatch):
             assert resp.status == 200 and json.loads(resp.read())["height"] == 0
     finally:
         conn.close()
-    assert len(seen) == 2 and seen[0] == seen[1]  # one connection served both
+    assert len(seen) == 2 and seen[0] is seen[1]  # one connection served both
+    assert all(nodelay)  # a reply does not wait for the client's delayed ACK
+    # Headers and body of each reply leave in one send.
+    assert len([n for sock, n in sends if sock is seen[0]]) == 2
 
 
 def test_submit_builds_no_consensus_report(cluster, txf, monkeypatch):

@@ -2,7 +2,7 @@ import hashlib
 import json
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from rolechain import codec
@@ -90,3 +90,31 @@ def test_key_order_is_irrelevant(d):
     items = list(d.items())
     reordered = dict(reversed(items))
     assert codec.canonical_bytes(d) == codec.canonical_bytes(reordered)
+
+
+_hex = "0123456789abcdef"
+fingerprints = st.lists(
+    st.fixed_dictionaries({
+        "body": st.text(_hex, min_size=64, max_size=64),
+        "kind": st.text(max_size=12),
+        "recipient": st.text(_hex, min_size=40, max_size=40),
+        "sender": st.text(_hex, min_size=40, max_size=40),
+        "seq": st.integers(min_value=0, max_value=2**53),
+        "tick": st.integers(min_value=0, max_value=2**53),
+    }),
+    max_size=12,
+)
+
+
+@given(fingerprints)
+@example([])
+def test_digest_log_digest_equals_the_digest_of_a_plain_list(entries):
+    log = codec.DigestLog()
+    assert isinstance(log, list)
+    assert codec.digest(log) == codec.digest([])
+    for i, entry in enumerate(entries, 1):
+        log.append(entry)
+        # Reading the digest must not end the log: later appends still count.
+        assert codec.digest(log) == codec.digest(entries[:i])
+        assert len(log) == i
+    assert codec.digest(log) == codec.digest(list(entries))

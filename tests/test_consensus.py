@@ -166,6 +166,21 @@ def test_crashed_node_revives_and_syncs(vals, genesis_state, txf):
     assert len({i["state_root"] for i in report["nodes"].values()}) == 1
 
 
+def test_a_tx_counts_as_on_chain_only_for_replicas_that_reached_its_height(
+    vals, genesis_state, txf
+):
+    net = _network(vals, genesis_state, rng_seed=9, crash_rules=[CrashRule(node=3, from_tick=0)])
+    tx = _register_tx(txf)
+    submit_tx(net, tx)
+    step_until_quiescent(net, 300)
+    ahead, behind = net.nodes[vals[0]], net.nodes[vals[3]]
+    assert ahead.next_height == 2 and behind.next_height == 1
+    for node in (ahead, behind):
+        node.admit(tx, net.tick)
+    assert tx.tx_id not in ahead.mempool  # committed on its chain
+    assert tx.tx_id in behind.mempool  # not yet on the crashed replica's chain
+
+
 def test_drop_rule_blocks_directed_link(vals, genesis_state, txf):
     net = _network(
         vals, genesis_state, rng_seed=10,

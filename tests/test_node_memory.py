@@ -1,0 +1,137 @@
+"""One parse per broadcast, and node memory that grows with the state.
+
+The recipients of one broadcast share the block or transaction parsed from
+its body (both are frozen), and a body that fails to parse is refused by
+every recipient. A serving node keeps the message trace only as a count and
+a running digest, so a write that does not grow the state retains little
+beyond its block, however many messages it took.
+"""
+
+import gc
+import tracemalloc
+
+import pytest
+
+from conftest import TxFactory
+from rolechain import consensus
+from rolechain.api import NodeHandle
+from rolechain.consensus import PROPOSAL, VOTE, Network, NetworkConfig
+from rolechain.ledger import build_block, hash_header
+from rolechain.store import build_genesis_state
+
+
+def _network(genesis_file):
+    # A fresh genesis state: build_block leaves its post-state on the state it reads.
+    vals = list(genesis_file.validators)
+    return Network(NetworkConfig(validators=vals, rng_seed=5), build_genesis_state(genesis_file)), vals
+
+
+def _deliver_broadcast(net, kind, sender, body):
+    """Broadcast *body* and hand each copy to its recipient at once."""
+    net.broadcast(kind, sender, body)
+    sent, net.queue = net.queue, []
+    for msg in sent:
+        consensus._handle(net, net.nodes[msg.recipient], msg)
+    return sent
+
+
+def _proposal(net, vals, txf):
+    proposer = net.nodes[vals[1]]  # proposer_for(1, 0)
+    block = build_block(
+        proposer.chain.tip.header, [txf.register("alice", "acme", "member")],
+        proposer.state, proposer.id, 1,
+    )
+    return block, {"height": 1, "view": 0, "proposer": proposer.id, "block": block.to_dict()}
+
+
+def test_recipients_of_one_proposal_hold_the_same_block(genesis_file, txf):
+    net, vals = _network(genesis_file)
+    block, body = _proposal(net, vals, txf)
+    _deliver_broadcast(net, PROPOSAL, vals[1], body)
+    held = [node.proposals[hash_header(block.header)][0] for node in net.nodes.values()]
+    assert held[0] == block and held[0] is not block  # parsed from the body
+    assert all(b is held[0] for b in held)
+    assert sorted(m.sender for m in net.queue if m.kind == VOTE) == sorted(vals * 4)
+
+
+@pytest.mark.parametrize("breakage", ["missing events", "bad state_root"])
+def test_malformed_proposal_gets_no_vote_from_any_recipient(genesis_file, txf, breakage):
+    net, vals = _network(genesis_file)
+    _, body = _proposal(net, vals, txf)
+    if breakage == "missing events":
+        del body["block"]["events"]  # KeyError
+    else:
+        body["block"]["header"]["state_root"] = "zz" * 32  # ValueError
+    sent = _deliver_broadcast(net, PROPOSAL, vals[1], body)
+    assert len(sent) == 4
+    assert not [m for m in net.queue if m.kind == VOTE]
+    assert all(node.proposals == {} for node in net.nodes.values())
+
+
+def test_a_broadcast_is_parsed_once_and_a_parse_error_reaches_every_recipient(genesis_file):
+    net, vals = _network(genesis_file)
+    calls = []
+
+    def failing(body):
+        calls.append(body)
+        raise ValueError("not a block")
+
+    def parsing(body):
+        calls.append(body)
+        return object()
+
+    net.broadcast(PROPOSAL, vals[0], {"height": 1})
+    sent = net.queue
+    for msg in sent:
+        with pytest.raises(ValueError, match="not a block"):
+            msg.parse(failing)
+    assert len(calls) == 1
+    assert len({id(msg.parse(parsing)) for msg in sent}) == 1
+    assert len(calls) == 2
+    # A message sent to one peer has its own parse.
+    net._send(PROPOSAL, vals[0], vals[1], {"height": 1})
+    net.queue[-1].parse(parsing)
+    assert len(calls) == 3
+
+
+def _retained() -> int:
+    gc.collect()
+    return tracemalloc.get_traced_memory()[0]
+
+
+def test_retained_memory_per_write_does_not_grow_with_the_message_history(genesis_file, wallets):
+    net, vals = _network(genesis_file)
+    handle = NodeHandle(net, vals[0], chain_id="testnet")
+    txf = TxFactory(wallets)
+
+    def toggle(times):
+        # A grant then its revoke: the relations end as they began.
+        for _ in range(times):
+            for edit in (txf.grant, txf.revoke):
+                assert handle.submit(edit("admin_acme", "acme", "auditor", "ledger", "read"))[
+                    "committed_height"] is not None
+
+    toggle(2)  # warm up lazily built caches
+    pra = handle.node.state.pra
+    writes = 40
+    tracemalloc.start()
+    try:
+        # What one write's messages would cost if their fingerprints were kept.
+        before = _retained()
+        kept = [msg.fingerprint() for msg in _deliver_broadcast(net, VOTE, vals[0], {"height": 0})]
+        fingerprint_bytes = (_retained() - before) / len(kept)
+        net.queue = []
+        spans = []
+        for n in (writes, 3 * writes):  # N and then 4N writes in all
+            msgs, before = len(net.trace), _retained()
+            toggle(n // 2)
+            spans.append(((_retained() - before) / n, (len(net.trace) - msgs) / n))
+    finally:
+        tracemalloc.stop()
+    assert handle.node.state.pra == pra
+    (first, msgs_per_write), (later, _) = spans
+    assert msgs_per_write >= 16
+    # Each write keeps its block and index entry, far less than its messages' fingerprints ...
+    assert first < msgs_per_write * fingerprint_bytes / 4
+    # ... and that share does not rise as the message history grows.
+    assert later < 1.25 * first + 256
