@@ -134,11 +134,9 @@ class NodeHandle:
                 raise ApiFailure(422, reason or "BadSignature", "transaction rejected")
             submitted_at = self.node.next_height
             run_until_quiescent(self.network, self.pump_ticks)  # may end accepted, uncommitted
-            committed_height = None
-            for block in self.node.chain.blocks[submitted_at:]:
-                if any(t.tx_id == tx_id for t in block.transactions):
-                    committed_height = block.header.height
-                    break
+            # Only a commit by this pump counts: a resubmitted tx already on chain gets None.
+            height = self.network.tx_heights.get(tx_id, -1)
+            committed_height = height if submitted_at <= height < self.node.next_height else None
             self._persist_locked()
             return {
                 "accepted": True,

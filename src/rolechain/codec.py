@@ -15,7 +15,7 @@ import functools
 import hashlib
 import json
 import re
-from typing import Any
+from typing import Any, Callable, ClassVar
 
 ZERO_DIGEST = "0" * 64
 ZERO_ADDRESS = "0" * 40
@@ -111,15 +111,40 @@ def require_hex(value: Any, nbytes: int, field: str) -> str:
 class Record:
     """Mixin for a frozen dataclass whose wire form is its own fields, by name.
 
-    A record whose wire form converts a field keeps a hand-written codec.
+    Each field is written through :func:`to_wire` and read back as is,
+    except that a field named in ``decoders`` is rebuilt (and checked) by it.
     """
 
+    decoders: ClassVar[dict[str, Callable[[Any], Any]]] = {}
+
     def to_dict(self) -> dict:
-        return {name: getattr(self, name) for name in _field_names(type(self))}
+        return {name: to_wire(getattr(self, name)) for name in _field_names(type(self))}
 
     @classmethod
     def from_dict(cls, d: dict):
-        return cls(**{name: d[name] for name in _field_names(cls)})
+        decoders = cls.decoders
+        return cls(**{
+            name: decoders[name](d[name]) if name in decoders else d[name]
+            for name in _field_names(cls)
+        })
+
+
+_SCALARS = frozenset({str, int, bool, type(None)})
+
+
+def to_wire(value: Any) -> Any:
+    """The wire form of a field value; a scalar (or a float, which encoding refuses) passes."""
+    if type(value) in _SCALARS:
+        return value
+    if isinstance(value, Record):
+        return value.to_dict()
+    if isinstance(value, (tuple, list)):
+        return [to_wire(v) for v in value]
+    if isinstance(value, frozenset):
+        return sorted(value)
+    if isinstance(value, dict):
+        return {k: to_wire(v) for k, v in value.items()}
+    return value
 
 
 @functools.cache

@@ -357,6 +357,14 @@ def _reset_height_runtime(node: ValidatorNode) -> None:
 
 
 def _finalize(network: Network, node: ValidatorNode, block: Block, post: WorldState) -> None:
+    # Take the state object of a peer that finalized this block already
+    # (finality is unique and equal roots mean equal states), so a replica
+    # that caught up through sync shares the others' post-state memo again.
+    height = block.header.height
+    for peer in network.nodes.values():
+        if peer.next_height == height + 1 and peer.chain.tip.header == block.header:
+            post = peer.state
+            break
     node.chain = append_block(node.chain, block)
     # Drop the memo of the state left behind: a replica that stays on it
     # (crashed, cut off) would otherwise keep every later state alive. One

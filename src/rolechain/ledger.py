@@ -47,25 +47,16 @@ class BlockHeader(codec.Record):
 
 
 @dataclass(frozen=True)
-class Block:
+class Block(codec.Record):
     header: BlockHeader
     transactions: tuple[SignedTransaction, ...]
     events: tuple[Event, ...]
 
-    def to_dict(self) -> dict:
-        return {
-            "events": [e.to_dict() for e in self.events],
-            "header": self.header.to_dict(),
-            "transactions": [t.to_dict() for t in self.transactions],
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "Block":
-        return cls(
-            header=BlockHeader.from_dict(d["header"]),
-            transactions=tuple(SignedTransaction.from_dict(t) for t in d["transactions"]),
-            events=tuple(Event.from_dict(e) for e in d["events"]),
-        )
+    decoders = {
+        "header": BlockHeader.from_dict,
+        "transactions": lambda txs: tuple(map(SignedTransaction.from_dict, txs)),
+        "events": lambda events: tuple(map(Event.from_dict, events)),
+    }
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import ClassVar, Union, get_args
 
-from . import codec, keys
+from . import codec
 from .state import Permission
 
 KIND_REGISTER_USER = "register_user"
@@ -68,12 +68,7 @@ class _PermissionEdit(_Payload):
     role: str
     permission: Permission
 
-    def to_dict(self) -> dict:
-        return {**super().to_dict(), "permission": self.permission.to_dict()}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "_PermissionEdit":
-        return super().from_dict({**d, "permission": Permission.from_dict(d["permission"])})
+    decoders = {"permission": Permission.from_dict}
 
 
 class GrantPermissionPayload(_PermissionEdit):
@@ -103,7 +98,7 @@ def payload_from_dict(d: dict) -> Payload:
 
 
 @dataclass(frozen=True)
-class SignedTransaction:
+class SignedTransaction(codec.Record):
     """A single contract call, authenticated by its sender."""
 
     sender: str
@@ -111,6 +106,8 @@ class SignedTransaction:
     payload: Payload
     public_key: str
     signature: str
+
+    decoders = {"payload": payload_from_dict}
 
     def __post_init__(self):
         codec.require_hex(self.sender, 20, "sender address")
@@ -122,30 +119,6 @@ class SignedTransaction:
 
     def signing_bytes(self) -> bytes:
         return codec.canonical_bytes(self.signing_dict())
-
-    def verify(self, public_key_hex: str) -> bool:
-        """Check the signature against *public_key_hex*; False on malformed input."""
-        if not codec.is_hex(public_key_hex, 32) or not codec.is_hex(self.signature, 64):
-            return False
-        return keys.verify(
-            bytes.fromhex(public_key_hex), self.signing_bytes(), bytes.fromhex(self.signature)
-        )
-
-    def to_dict(self) -> dict:
-        d = self.signing_dict()
-        d["public_key"] = self.public_key
-        d["signature"] = self.signature
-        return d
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "SignedTransaction":
-        return cls(
-            sender=d["sender"],
-            nonce=d["nonce"],
-            payload=payload_from_dict(d["payload"]),
-            public_key=d["public_key"],
-            signature=d["signature"],
-        )
 
     @property
     def tx_id(self) -> str:

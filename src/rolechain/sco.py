@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from . import codec
 from .errors import DuplicateGrant, NotAuthorized, NotGranted, UnknownOrg, UnknownRole
 from .payloads import SignedTransaction
 from .state import (
@@ -65,12 +66,11 @@ def revoke_permission(
 
 
 @dataclass(frozen=True)
-class PermissionCheck:
+class PermissionCheck(codec.Record):
     granted: bool
     via_roles: frozenset[str]
 
-    def to_dict(self) -> dict:
-        return {"granted": self.granted, "via_roles": sorted(self.via_roles)}
+    decoders = {"via_roles": frozenset}
 
 
 def check_permission(

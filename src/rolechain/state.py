@@ -72,91 +72,56 @@ class Permission(codec.Record):
 
 
 @dataclass(frozen=True)
-class RolePolicy:
+class RolePolicy(codec.Record):
     """Assignment policy for one role: who may take it and how many may hold it."""
 
     role_id: str
     self_assignable: bool = False
     max_holders: int | None = None  # None = unlimited
 
+    decoders = {"self_assignable": bool}
+
     def __post_init__(self):
         _check_id(self.role_id, "role id")
         if self.max_holders is not None and self.max_holders < 1:
             raise ValueError("max_holders must be positive or None")
 
-    def to_dict(self) -> dict:
-        return {
-            "max_holders": self.max_holders,
-            "role_id": self.role_id,
-            "self_assignable": self.self_assignable,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "RolePolicy":
-        return cls(
-            role_id=d["role_id"],
-            self_assignable=bool(d["self_assignable"]),
-            max_holders=d["max_holders"],
-        )
-
 
 @dataclass(frozen=True)
-class OrgRecord:
+class OrgRecord(codec.Record):
     """An organization fixed at genesis: its admins and its role catalog."""
 
     org_id: str
     admins: frozenset[str]
     role_catalog: dict[str, RolePolicy]
 
+    decoders = {
+        "admins": lambda addrs: frozenset(codec.require_hex(a, 20, "admin address") for a in addrs),
+        "role_catalog": lambda catalog: {r: RolePolicy.from_dict(p) for r, p in catalog.items()},
+    }
+
     def __post_init__(self):
         _check_id(self.org_id, "org id")
         if not self.admins:
             raise ValueError(f"org {self.org_id!r} has no admins")
 
-    def to_dict(self) -> dict:
-        return {
-            "admins": sorted(self.admins),
-            "org_id": self.org_id,
-            "role_catalog": {r: p.to_dict() for r, p in sorted(self.role_catalog.items())},
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "OrgRecord":
-        return cls(
-            org_id=d["org_id"],
-            admins=frozenset(codec.require_hex(a, 20, "admin address") for a in d["admins"]),
-            role_catalog={r: RolePolicy.from_dict(p) for r, p in d["role_catalog"].items()},
-        )
-
 
 @dataclass(frozen=True)
-class UserRecord:
+class UserRecord(codec.Record):
     address: str
     public_key: str
     password_digest: str
     registered_at: tuple[int, int]  # (block height, tx index)
 
-    def to_dict(self) -> dict:
-        return {
-            "address": self.address,
-            "password_digest": self.password_digest,
-            "public_key": self.public_key,
-            "registered_at": list(self.registered_at),
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "UserRecord":
-        return cls(
-            address=d["address"],
-            public_key=d["public_key"],
-            password_digest=d["password_digest"],
-            registered_at=(d["registered_at"][0], d["registered_at"][1]),
-        )
+    decoders = {"registered_at": lambda r: (r[0], r[1])}
 
 
 @dataclass(frozen=True)
-class Event:
-    """One immutable audit record, anchored to its (block height, tx index)."""
+class Event(codec.Record):
+    """One immutable audit record, anchored to its (block height, tx index).
+
+    Its wire form holds its attributes as an object, so its codec is its own.
+    """
 
     kind: str
     attributes: tuple[tuple[str, Any], ...]
@@ -180,10 +145,7 @@ class Event:
 
     def to_dict(self) -> dict:
         return {
-            "attributes": {
-                k: (v.to_dict() if isinstance(v, Permission) else v)
-                for k, v in self.attributes
-            },
+            "attributes": {k: codec.to_wire(v) for k, v in self.attributes},
             "height": self.height,
             "kind": self.kind,
             "tx_index": self.tx_index,

@@ -34,25 +34,15 @@ CHAIN_FILE = "chain.jsonl"
 # --- genesis -----------------------------------------------------------------
 
 @dataclass(frozen=True)
-class GenesisFile:
+class GenesisFile(codec.Record):
     chain_id: str
     validators: tuple[str, ...]
     orgs: tuple[OrgRecord, ...] = field(default=())
 
-    def to_dict(self) -> dict:
-        return {
-            "chain_id": self.chain_id,
-            "orgs": [o.to_dict() for o in self.orgs],
-            "validators": list(self.validators),
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "GenesisFile":
-        return cls(
-            chain_id=d["chain_id"],
-            validators=tuple(codec.require_hex(v, 20, "validator address") for v in d["validators"]),
-            orgs=tuple(OrgRecord.from_dict(o) for o in d["orgs"]),
-        )
+    decoders = {
+        "validators": lambda vs: tuple(codec.require_hex(v, 20, "validator address") for v in vs),
+        "orgs": lambda orgs: tuple(map(OrgRecord.from_dict, orgs)),
+    }
 
 
 def build_genesis_state(genesis: GenesisFile) -> WorldState:
@@ -92,10 +82,9 @@ class Store:
         self.path.touch(exist_ok=True)
 
     def append(self, block: Block) -> None:
-        block_bytes = codec.canonical_bytes(block.to_dict())
-        line = codec.canonical_dumps(
-            {"block": block.to_dict(), "crc32": f"{zlib.crc32(block_bytes):08x}"}
-        )
+        block_dict = block.to_dict()
+        crc = zlib.crc32(codec.canonical_bytes(block_dict))
+        line = codec.canonical_dumps({"block": block_dict, "crc32": f"{crc:08x}"})
         with open(self.path, "a", encoding="utf-8") as fh:
             fh.write(line + "\n")
             fh.flush()

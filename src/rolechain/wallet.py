@@ -101,12 +101,15 @@ def sign_transaction(
 
 
 def verify_signature(tx: SignedTransaction, public_key: bytes | str) -> bool:
-    """True iff the envelope signature is valid under *public_key*."""
+    """True iff the envelope signature is valid under *public_key*; False if malformed."""
     pk_hex = public_key.hex() if isinstance(public_key, bytes) else public_key
-    try:
-        return tx.verify(pk_hex)
-    except Exception:
+    if not codec.is_hex(pk_hex, 32) or not codec.is_hex(tx.signature, 64):
         return False
+    try:
+        message = tx.signing_bytes()
+    except TypeError:  # a payload value canonical JSON refuses, such as a float
+        return False
+    return keys.verify(bytes.fromhex(pk_hex), message, bytes.fromhex(tx.signature))
 
 
 def verify_envelope(tx: SignedTransaction) -> bool:
@@ -115,7 +118,7 @@ def verify_envelope(tx: SignedTransaction) -> bool:
         return False
     if keys.derive_address(bytes.fromhex(tx.public_key)) != tx.sender:
         return False
-    return tx.verify(tx.public_key)
+    return verify_signature(tx, tx.public_key)
 
 
 def save_wallet(wallet: Wallet, path: str | Path) -> None:

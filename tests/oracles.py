@@ -94,6 +94,22 @@ def _ref_array(items) -> str:
     return "[" + ",".join(items) + "]"
 
 
+def _ref_org(rec) -> str:
+    catalog = [
+        (role, _ref_object([
+            ("max_holders", _ref_scalar(p.max_holders)),
+            ("role_id", _ref_str(p.role_id)),
+            ("self_assignable", _ref_scalar(p.self_assignable)),
+        ]))
+        for role, p in rec.role_catalog.items()
+    ]
+    return _ref_object([
+        ("admins", _ref_array(_ref_str(a) for a in sorted(rec.admins))),
+        ("org_id", _ref_str(rec.org_id)),
+        ("role_catalog", _ref_object(catalog)),
+    ])
+
+
 def reference_state_bytes(state) -> bytes:
     """The canonical bytes of a WorldState, written out by hand.
 
@@ -112,25 +128,10 @@ def reference_state_bytes(state) -> bytes:
             ("registered_at", _ref_array(_ref_scalar(x) for x in rec.registered_at)),
         ])
 
-    def org(rec):
-        catalog = [
-            (role, _ref_object([
-                ("max_holders", _ref_scalar(p.max_holders)),
-                ("role_id", _ref_str(p.role_id)),
-                ("self_assignable", _ref_scalar(p.self_assignable)),
-            ]))
-            for role, p in rec.role_catalog.items()
-        ]
-        return _ref_object([
-            ("admins", _ref_array(_ref_str(a) for a in sorted(rec.admins))),
-            ("org_id", _ref_str(rec.org_id)),
-            ("role_catalog", _ref_object(catalog)),
-        ])
-
     pra = sorted(state.pra, key=lambda t: (t[0], t[1], t[2].resource, t[2].action))
     text = _ref_object([
         ("nonces", _ref_object([(a, _ref_scalar(n)) for a, n in state.nonces.items()])),
-        ("orgs", _ref_object([(o, org(rec)) for o, rec in state.orgs.items()])),
+        ("orgs", _ref_object([(o, _ref_org(rec)) for o, rec in state.orgs.items()])),
         ("pra", _ref_array(
             _ref_array([_ref_str(o), _ref_str(r), permission(p)]) for o, r, p in pra
         )),
@@ -200,6 +201,15 @@ def reference_block_bytes(block) -> bytes:
         ("events", _ref_array(events)),
         ("header", header),
         ("transactions", _ref_array(txs)),
+    ]).encode("utf-8")
+
+
+def reference_genesis_bytes(genesis) -> bytes:
+    """The canonical bytes of a GenesisFile, by hand: orgs and validators in file order."""
+    return _ref_object([
+        ("chain_id", _ref_str(genesis.chain_id)),
+        ("orgs", _ref_array(_ref_org(o) for o in genesis.orgs)),
+        ("validators", _ref_array(_ref_str(v) for v in genesis.validators)),
     ]).encode("utf-8")
 
 

@@ -277,6 +277,29 @@ def test_submit_out_of_pump_budget_is_accepted_uncommitted(genesis_file, genesis
     assert result["node_height"] == 0
 
 
+def test_committed_height_counts_only_this_pump_on_this_replica(genesis_file, genesis_state, txf):
+    vals = list(genesis_file.validators)
+    network = Network(NetworkConfig(validators=vals, rng_seed=77), genesis_state)
+    handle = NodeHandle(network, vals[0], chain_id="testnet")
+    tx = txf.register("alice", "acme", "member")
+    assert handle.submit(tx)["committed_height"] == 1
+    # The same tx again is accepted, but it was committed before this pump.
+    again = handle.submit(tx)
+    assert again["accepted"] and again["committed_height"] is None
+    assert again["node_height"] == 1
+
+    # A replica that is down commits nothing, though its peers commit the tx.
+    crashed = Network(
+        NetworkConfig(validators=vals, rng_seed=77,
+                      crash_rules=[consensus.CrashRule(node=0, from_tick=0)]),
+        genesis_state,
+    )
+    lagging = NodeHandle(crashed, vals[0], chain_id="testnet")
+    result = lagging.submit(tx)
+    assert result["accepted"] and result["committed_height"] is None
+    assert crashed.tx_heights == {tx.tx_id: 1} and result["node_height"] == 0
+
+
 def test_service_config_env_overrides(tmp_path):
     path = tmp_path / "svc.json"
     path.write_text(json.dumps({"listen": "127.0.0.1:1", "data_dir": str(tmp_path)}), "utf-8")

@@ -280,3 +280,48 @@ def test_memo_is_not_a_field_and_not_cloned(genesis_file):
     assert recall_post(state.clone(), "ab" * 32) is None
     assert state == build_genesis_state(genesis_file)
     assert "_posts" not in state.to_dict()
+
+
+def test_replica_that_synced_shares_the_post_state_memo_again(genesis_file, txf):
+    vals = list(genesis_file.validators)
+    crash_until = 40
+    net = Network(
+        NetworkConfig(
+            validators=vals, rng_seed=3,
+            crash_rules=[CrashRule(node=3, from_tick=0, to_tick=crash_until)],
+        ),
+        build_genesis_state(genesis_file),
+    )
+    synced = []
+    original_adopt = consensus._adopt_block
+
+    def adopt(network, node, block):
+        synced.append(node.id)
+        return original_adopt(network, node, block)
+
+    def commit(count):
+        for _ in range(count):
+            height = net.nodes[vals[0]].chain.height
+            submit_tx(net, txf.grant("admin_acme", "acme", "member", f"r{height}", "read"))
+            assert step_until_quiescent(net, 100)
+            assert net.nodes[vals[0]].chain.height == height + 1
+
+    with mock.patch.object(consensus, "_adopt_block", adopt):
+        commit(3)
+        while net.tick <= crash_until:
+            step(net)
+        assert step_until_quiescent(net, 200)
+    assert set(synced) == {vals[3]}
+    assert len({n.chain.height for n in net.nodes.values()}) == 1
+
+    executes = []
+    original_execute = consensus.execute_block
+
+    def counted(state, block):
+        executes.append(block.header.height)
+        return original_execute(state, block)
+
+    with mock.patch.object(consensus, "execute_block", counted):
+        commit(8)
+    assert executes == []
+    assert len({id(n.state) for n in net.nodes.values()}) == 1
