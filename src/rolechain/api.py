@@ -224,24 +224,13 @@ class _Handler(BaseHTTPRequestHandler):
             pass
 
     def _route_get(self, route: str, params: dict) -> None:
-        if route == "/v1/status":
-            return self._get_status()
-        if route == "/v1/permissions/check":
-            return self._get_check(params)
-        if route == "/v1/events":
-            return self._get_events(params)
-        m = re.fullmatch(r"/v1/accounts/([^/]+)", route)
-        if m:
-            return self._get_account(m.group(1))
-        m = re.fullmatch(r"/v1/users/([^/]+)", route)
-        if m:
-            return self._get_user(m.group(1))
-        m = re.fullmatch(r"/v1/users/([^/]+)/roles", route)
-        if m:
-            return self._get_user_roles(m.group(1))
-        m = re.fullmatch(r"/v1/blocks/(\d+)", route)
-        if m:
-            return self._get_block(int(m.group(1)))
+        name = _GET_EXACT.get(route)
+        if name is not None:
+            return getattr(self, name)(params)
+        for pattern, name in _GET_PATTERNS:
+            m = pattern.fullmatch(route)
+            if m:
+                return getattr(self, name)(m.group(1))
         self._error(404, "NotFound", f"no such endpoint {route}")
 
     # --- endpoints ----------------------------------------------------------
@@ -252,7 +241,7 @@ class _Handler(BaseHTTPRequestHandler):
             raise ApiFailure(400, "Malformed", "address must be 40 lowercase hex chars")
         return value
 
-    def _get_status(self) -> None:
+    def _get_status(self, params: dict) -> None:
         height, state, blocks = self.handle_ref.snapshot()
         self._reply(200, {
             "chain_id": self.handle_ref.chain_id,
@@ -312,7 +301,8 @@ class _Handler(BaseHTTPRequestHandler):
             "height": height,
         })
 
-    def _get_block(self, height: int) -> None:
+    def _get_block(self, raw_height: str) -> None:
+        height = int(raw_height)
         _, _, blocks = self.handle_ref.snapshot()
         if height >= len(blocks):
             raise ApiFailure(404, "NotFound", f"no block at height {height}")
@@ -340,6 +330,21 @@ class _Handler(BaseHTTPRequestHandler):
                     continue
                 events.append(event.to_dict())
         self._reply(200, {"events": events, "height": height})
+
+
+# GET routes to _Handler method names, looked up per request so a wrapper set on
+# the class is called: exact paths, then patterns whose one group is the argument.
+_GET_EXACT = {
+    "/v1/status": "_get_status",
+    "/v1/permissions/check": "_get_check",
+    "/v1/events": "_get_events",
+}
+_GET_PATTERNS = tuple((re.compile(pattern), name) for pattern, name in (
+    (r"/v1/accounts/([^/]+)", "_get_account"),
+    (r"/v1/users/([^/]+)", "_get_user"),
+    (r"/v1/users/([^/]+)/roles", "_get_user_roles"),
+    (r"/v1/blocks/(\d+)", "_get_block"),
+))
 
 
 class ApiServer:

@@ -21,15 +21,15 @@ of scope, per the trusted-validator setting):
   revives) every node announces its tip once, modeling the handshake of a
   re-established connection; that exchange triggers the block sync.
 * Replicas in one process share one execution of a block. A replica
-  validates a block by executing it on its committed state, unless that
-  very state object already carries the block's post-state (the proposer's
-  ``build_block`` left it there, or another replica executed it): then it
-  only checks the block's transactions against ``tx_root`` and its events
-  against the remembered ones. The first replica to finalize a height drops
-  the memo of the state it leaves. ``ledger.verify_chain``, ``chain verify``
-  and the node's cold-start replay never read the memo; they re-execute
-  every block. The recipients of one broadcast likewise share one parse of
-  its body (``Message.parse``), and one index of committed tx ids.
+  checks a block's height, link and ``tx_root`` with ``append_block``, then
+  executes it on its committed state, unless that very state object already
+  carries the block's post-state (the proposer's ``build_block`` left it
+  there, or another replica executed it): then it only checks the events
+  against the remembered ones. The first replica to finalize a height
+  appends the block and drops the memo of the state it leaves; the others
+  take its chain and state. Audits and cold-start replay re-execute every
+  block. The recipients of one broadcast share one parse of its body
+  (``Message.parse``, which for a transaction includes its envelope check).
 
 Everything is a pure function of (config, workload, seed): messages carry a
 global sequence number and deliver in (tick, sender, sequence) order, and
@@ -47,7 +47,7 @@ from . import codec
 from .errors import ChainError, SimTimeout, TransactionError
 from .ledger import (
     Block, BlockHeader, Chain, append_block, build_block, execute_block, forget_posts, hash_header,
-    new_chain, recall_post, remember_post, tx_root,
+    new_chain, recall_post, remember_post,
 )
 from .payloads import SignedTransaction
 from .state import WorldState, apply_transaction, expected_nonce, state_root
@@ -171,35 +171,39 @@ class Message:
 
 
 @dataclass
-class ValidatorNode:
-    """One replica: its committed chain/state plus per-height voting bookkeeping."""
-
-    id: str
-    chain: Chain
-    state: WorldState
-    mempool: dict[str, SignedTransaction] = field(default_factory=dict)
-    mempool_arrival: dict[str, int] = field(default_factory=dict)
+class Round:
+    """A replica's voting state at its current height; replaced whole when the height commits."""
 
     view: int = 0
-    view_entered: int = 0
-    proposed: set = field(default_factory=set)          # views proposed at current height
-    voted: set = field(default_factory=set)             # views voted at current height
-    commit_sent: set = field(default_factory=set)       # views commit-voted at current height
+    entered: int = 0                                    # tick the current view began
+    proposed: set = field(default_factory=set)          # views proposed
+    voted: set = field(default_factory=set)             # views voted
+    commit_sent: set = field(default_factory=set)       # views commit-voted
     vote_tally: dict = field(default_factory=dict)      # (view, hash) -> set of voters
     commit_tally: dict = field(default_factory=dict)    # hash -> set of committers
     proposals: dict = field(default_factory=dict)       # hash -> (Block, post_state)
     proposal_views: dict = field(default_factory=dict)  # view -> hash
     lock: str | None = None                             # hash of locked block
+
+    def pending(self) -> bool:
+        return bool(self.lock or self.proposals or self.vote_tally or self.commit_tally)
+
+
+@dataclass
+class ValidatorNode:
+    """One replica: committed chain and state, mempool (tx id -> (tx, arrival tick)), round."""
+
+    id: str
+    chain: Chain
+    state: WorldState
+    mempool: dict[str, tuple[SignedTransaction, int]] = field(default_factory=dict)
+    round: Round = field(default_factory=Round)
     tx_heights: dict = field(default_factory=dict)      # tx id -> committed height
     sync_inflight_until: int = -1
 
     @property
     def next_height(self) -> int:
         return len(self.chain.blocks)
-
-    def pending_work(self) -> bool:
-        return bool(self.mempool or self.lock or self.proposals or self.vote_tally
-                    or self.commit_tally)
 
     def on_chain(self, tx_id: str) -> bool:
         return self.tx_heights.get(tx_id, self.next_height) < self.next_height
@@ -208,12 +212,7 @@ class ValidatorNode:
         """Queue *tx* unless it is queued or on chain already."""
         tx_id = tx.tx_id
         if tx_id not in self.mempool and not self.on_chain(tx_id):
-            self.mempool[tx_id] = tx
-            self.mempool_arrival[tx_id] = tick
-
-    def evict(self, tx_id: str) -> None:
-        self.mempool.pop(tx_id, None)
-        self.mempool_arrival.pop(tx_id, None)
+            self.mempool[tx_id] = tx, tick
 
 
 class Network:
@@ -344,58 +343,43 @@ def step(network: Network) -> Network:
     return network
 
 
-def _reset_height_runtime(node: ValidatorNode) -> None:
-    node.view = 0
-    node.proposed = set()
-    node.voted = set()
-    node.commit_sent = set()
-    node.vote_tally = {}
-    node.commit_tally = {}
-    node.proposals = {}
-    node.proposal_views = {}
-    node.lock = None
-
-
 def _finalize(network: Network, node: ValidatorNode, block: Block, post: WorldState) -> None:
-    # Take the state object of a peer that finalized this block already
-    # (finality is unique and equal roots mean equal states), so a replica
+    # Take the chain and state objects of a peer that finalized this block
+    # already (finality is unique, and equal roots mean equal states): only
+    # the first replica at a height appends and indexes it, and a replica
     # that caught up through sync shares the others' post-state memo again.
     height = block.header.height
     for peer in network.nodes.values():
         if peer.next_height == height + 1 and peer.chain.tip.header == block.header:
-            post = peer.state
+            chain, post = peer.chain, peer.state
             break
-    node.chain = append_block(node.chain, block)
+    else:
+        chain = append_block(node.chain, block)
+        for tx in block.transactions:
+            node.tx_heights.setdefault(tx.tx_id, height)
+    node.chain = chain
     # Drop the memo of the state left behind: a replica that stays on it
     # (crashed, cut off) would otherwise keep every later state alive. One
     # that catches up later executes the blocks itself.
     forget_posts(node.state)
     node.state = post
-    for tx in block.transactions:
-        node.tx_heights.setdefault(tx.tx_id, block.header.height)
-    _reset_height_runtime(node)
-    node.view_entered = network.tick
+    node.round = Round(entered=network.tick)
     # Walking the whole mempool drops every transaction that can never apply.
     _select_txs(node, limit=len(node.mempool))
 
 
 def _validate_proposal(node: ValidatorNode, block: Block, block_hash: str) -> WorldState | None:
     """The post-state of *block* (whose header hashes to *block_hash*) on *node*, or None."""
-    header = block.header
-    if header.height != node.next_height:
-        return None
-    if header.prev_hash != hash_header(node.chain.tip.header):
-        return None
     known = recall_post(node.state, block_hash)
-    if known is not None:
-        post, events = known
-        if tx_root(block.transactions) != header.tx_root or block.events != events:
-            return None
-        return post
     try:
-        post = execute_block(node.state, block)
+        append_block(node.chain, block)  # height, link and tx_root
+        if known is None:
+            post = execute_block(node.state, block)
     except (ChainError, TransactionError):
         return None
+    if known is not None:
+        post, events = known
+        return post if block.events == events else None
     remember_post(node.state, block_hash, post, block.events)
     return post
 
@@ -423,7 +407,10 @@ def _send_blocks(network: Network, node: ValidatorNode, peer: str, start: int) -
 
 
 def _gossiped_tx(body: dict) -> SignedTransaction:
-    return SignedTransaction.from_dict(body["tx"])
+    tx = SignedTransaction.from_dict(body["tx"])
+    if not verify_envelope(tx):
+        raise ValueError("gossiped transaction fails its envelope check")
+    return tx
 
 
 def _carried_block(body: dict) -> tuple[Block, str]:
@@ -439,8 +426,9 @@ def _handle(network: Network, node: ValidatorNode, msg: Message) -> None:
     kind, body = msg.kind, msg.body
 
     if kind == TX_GOSSIP:
-        tx = msg.parse(_gossiped_tx)
-        if not verify_envelope(tx):
+        try:
+            tx = msg.parse(_gossiped_tx)
+        except (ValueError, KeyError):
             return
         node.admit(tx, network.tick)
         return
@@ -473,7 +461,7 @@ def _handle(network: Network, node: ValidatorNode, msg: Message) -> None:
                 return
         return
 
-    height = body.get("height")
+    height, rnd = body.get("height"), node.round
     if height is None:
         return
     if height > node.next_height:
@@ -493,23 +481,23 @@ def _handle(network: Network, node: ValidatorNode, msg: Message) -> None:
             block, block_hash = msg.parse(_carried_block)
         except (ValueError, KeyError):
             return
-        if block_hash not in node.proposals:
+        if block_hash not in rnd.proposals:
             post = _validate_proposal(node, block, block_hash)
             if post is None:
                 return
-            node.proposals[block_hash] = (block, post)
+            rnd.proposals[block_hash] = (block, post)
             for tx in block.transactions:
                 # Adopt the proposal's transactions so a later proposer can
                 # rebuild an equivalent block if this one stalls.
                 node.admit(tx, network.tick)
-        node.proposal_views[view] = block_hash
+        rnd.proposal_views[view] = block_hash
         _vote_if_possible(network, node)
         _check_tallies(network, node)
         return
 
     if kind == VOTE:
         key = (body["view"], body["block_hash"])
-        node.vote_tally.setdefault(key, set()).add(msg.sender)
+        rnd.vote_tally.setdefault(key, set()).add(msg.sender)
         _check_tallies(network, node)
         return
 
@@ -521,48 +509,48 @@ def _handle(network: Network, node: ValidatorNode, msg: Message) -> None:
             return
         if block_hash != body["block_hash"]:
             return
-        node.commit_tally.setdefault(block_hash, set()).add(msg.sender)
-        if block_hash not in node.proposals:
+        rnd.commit_tally.setdefault(block_hash, set()).add(msg.sender)
+        if block_hash not in rnd.proposals:
             try:
                 block, _ = msg.parse(_carried_block)
             except (ValueError, KeyError):
                 return
             post = _validate_proposal(node, block, block_hash)
             if post is not None:
-                node.proposals[block_hash] = (block, post)
+                rnd.proposals[block_hash] = (block, post)
         _check_tallies(network, node)
         return
 
 
 def _vote_if_possible(network: Network, node: ValidatorNode) -> None:
     """Cast the one vote this node may make in its current view, if any."""
-    view = node.view
-    if view in node.voted:
+    rnd = node.round
+    if rnd.view in rnd.voted:
         return
-    block_hash = node.proposal_views.get(view)
-    if block_hash is None or block_hash not in node.proposals:
+    block_hash = rnd.proposal_views.get(rnd.view)
+    if block_hash is None or block_hash not in rnd.proposals:
         return
-    if node.lock is not None and node.lock != block_hash:
+    if rnd.lock is not None and rnd.lock != block_hash:
         return
-    node.voted.add(view)
+    rnd.voted.add(rnd.view)
     network.broadcast(
         VOTE, node.id,
-        {"height": node.next_height, "view": view, "block_hash": block_hash},
+        {"height": node.next_height, "view": rnd.view, "block_hash": block_hash},
     )
 
 
 def _check_tallies(network: Network, node: ValidatorNode) -> None:
     """Fire phase transitions enabled by the tallies gathered so far."""
-    quorum = network.config.quorum
+    quorum, rnd = network.config.quorum, node.round
 
     for (view, block_hash), voters in sorted(
-        node.vote_tally.items(), key=lambda kv: (kv[0][0], kv[0][1])
+        rnd.vote_tally.items(), key=lambda kv: (kv[0][0], kv[0][1])
     ):
-        if len(voters) >= quorum and block_hash in node.proposals:
-            if view not in node.commit_sent:
-                node.commit_sent.add(view)
-                node.lock = block_hash
-                block, _ = node.proposals[block_hash]
+        if len(voters) >= quorum and block_hash in rnd.proposals:
+            if view not in rnd.commit_sent:
+                rnd.commit_sent.add(view)
+                rnd.lock = block_hash
+                block, _ = rnd.proposals[block_hash]
                 network.broadcast(
                     COMMIT, node.id,
                     {
@@ -572,36 +560,35 @@ def _check_tallies(network: Network, node: ValidatorNode) -> None:
                     },
                 )
 
-    for block_hash, committers in sorted(node.commit_tally.items()):
-        if len(committers) >= quorum and block_hash in node.proposals:
-            block, post = node.proposals[block_hash]
+    for block_hash, committers in sorted(rnd.commit_tally.items()):
+        if len(committers) >= quorum and block_hash in rnd.proposals:
+            block, post = rnd.proposals[block_hash]
             _finalize(network, node, block, post)
             return
 
 
 def _local_actions(network: Network, node: ValidatorNode) -> None:
-    height = node.next_height
+    height, rnd = node.next_height, node.round
 
-    for tx_id, tx in list(node.mempool.items()):
+    for tx_id, (tx, arrived) in list(node.mempool.items()):
         if (
             tx.nonce > expected_nonce(node.state, tx.sender)
-            and network.tick - node.mempool_arrival.get(tx_id, network.tick)
-            >= MEMPOOL_GAP_TTL_TICKS
+            and network.tick - arrived >= MEMPOOL_GAP_TTL_TICKS
         ):
-            node.evict(tx_id)
+            del node.mempool[tx_id]
 
-    if node.pending_work() and network.tick - node.view_entered >= VIEW_TIMEOUT_TICKS:
-        node.view += 1
-        node.view_entered = network.tick
+    if (node.mempool or rnd.pending()) and network.tick - rnd.entered >= VIEW_TIMEOUT_TICKS:
+        rnd.view += 1
+        rnd.entered = network.tick
         _vote_if_possible(network, node)
 
-    if network.proposer_for(height, node.view) != node.id:
+    if network.proposer_for(height, rnd.view) != node.id:
         return
-    if node.view in node.proposed:
+    if rnd.view in rnd.proposed:
         return
 
-    if node.lock is not None and node.lock in node.proposals:
-        block = node.proposals[node.lock][0]
+    if rnd.lock is not None and rnd.lock in rnd.proposals:
+        block = rnd.proposals[rnd.lock][0]
     else:
         txs = _select_txs(node)
         if not txs:
@@ -609,12 +596,12 @@ def _local_actions(network: Network, node: ValidatorNode) -> None:
         block = build_block(
             node.chain.tip.header, txs, node.state, node.id, network.tick
         )
-    node.proposed.add(node.view)
+    rnd.proposed.add(rnd.view)
     network.broadcast(
         PROPOSAL, node.id,
         {
             "height": height,
-            "view": node.view,
+            "view": rnd.view,
             "proposer": node.id,
             "block": block.to_dict(),
         },
@@ -626,7 +613,7 @@ def _select_txs(node: ValidatorNode, limit: int = MAX_BLOCK_TXS) -> list[SignedT
     selected: list[SignedTransaction] = []
     scratch = node.state
     dead: list[str] = []
-    for tx_id, tx in node.mempool.items():
+    for tx_id, (tx, _) in node.mempool.items():
         if len(selected) >= limit:
             break
         if node.on_chain(tx_id):
@@ -644,7 +631,7 @@ def _select_txs(node: ValidatorNode, limit: int = MAX_BLOCK_TXS) -> list[SignedT
         except TransactionError:
             dead.append(tx_id)
     for tx_id in dead:
-        node.evict(tx_id)
+        del node.mempool[tx_id]
     return selected
 
 
@@ -653,7 +640,7 @@ def quiescent(network: Network) -> bool:
         return False
     if any(h > network.tick for h in network.handshake_ticks):
         return False  # a fault window is still due to close and wake nodes up
-    return not any(node.pending_work() for node in network.up_nodes())
+    return not any(node.mempool or node.round.pending() for node in network.up_nodes())
 
 
 def report(network: Network) -> dict:

@@ -33,7 +33,7 @@ from itertools import compress, repeat
 from operator import is_
 from typing import TYPE_CHECKING, Any
 
-from . import codec, keys
+from . import codec
 from .errors import BadNonce, BadSignature
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -358,35 +358,3 @@ def query_roles(state: WorldState, addr: str) -> dict[str, set[str]]:
             out.setdefault(org, set()).add(role)
     return out
 
-
-def check_integrity(state: WorldState) -> None:
-    """Full-scan referential integrity check; raises ValueError on the first violation."""
-    for user, org, role in state.ura:
-        if user not in state.users:
-            raise ValueError(f"ura references unknown user {user}")
-        org_rec = state.orgs.get(org)
-        if org_rec is None:
-            raise ValueError(f"ura references unknown org {org}")
-        if role not in org_rec.role_catalog:
-            raise ValueError(f"ura references role {role!r} missing from org {org}")
-    for org, role, permission in state.pra:
-        org_rec = state.orgs.get(org)
-        if org_rec is None:
-            raise ValueError(f"pra references unknown org {org}")
-        if role not in org_rec.role_catalog:
-            raise ValueError(f"pra references role {role!r} missing from org {org}")
-        if not isinstance(permission, Permission):
-            raise ValueError("pra entry does not hold a Permission")
-    for org, rec in state.orgs.items():
-        policy = rec.role_catalog
-        for role, p in policy.items():
-            if p.max_holders is not None:
-                held = role_holder_count(state, org, role)
-                if held > p.max_holders:
-                    raise ValueError(f"role {org}/{role} over capacity: {held}")
-    for addr, record in state.users.items():
-        if keys.derive_address(bytes.fromhex(record.public_key)) != addr:
-            raise ValueError(f"user record {addr} fails address derivation")
-    for addr, nonce in state.nonces.items():
-        if nonce < 0:
-            raise ValueError(f"negative nonce for {addr}")

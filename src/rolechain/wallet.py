@@ -105,11 +105,7 @@ def verify_signature(tx: SignedTransaction, public_key: bytes | str) -> bool:
     pk_hex = public_key.hex() if isinstance(public_key, bytes) else public_key
     if not codec.is_hex(pk_hex, 32) or not codec.is_hex(tx.signature, 64):
         return False
-    try:
-        message = tx.signing_bytes()
-    except TypeError:  # a payload value canonical JSON refuses, such as a float
-        return False
-    return keys.verify(bytes.fromhex(pk_hex), message, bytes.fromhex(tx.signature))
+    return keys.verify(bytes.fromhex(pk_hex), tx.signing_bytes(), bytes.fromhex(tx.signature))
 
 
 def verify_envelope(tx: SignedTransaction) -> bool:

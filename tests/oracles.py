@@ -2,10 +2,15 @@
 
 Everything here is deliberately primitive — plain tuples, sets, and loops,
 sharing no code with the modules under test — so agreement between the two
-sides actually means something.
+sides actually means something. The one exception is ``check_integrity``, a
+full-scan invariant check that reuses the program's address derivation and
+holder count.
 """
 
 from __future__ import annotations
+
+from rolechain import keys
+from rolechain.state import Permission, WorldState, role_holder_count
 
 
 def brute_force_check(ura, pra, user: str, org: str, perm: tuple[str, str]):
@@ -221,3 +226,36 @@ def mutate_one_byte(data: bytes, rng) -> tuple[bytes, int]:
     while new == old:
         new = rng.randrange(256)
     return data[:pos] + bytes([new]) + data[pos + 1 :], pos
+
+
+def check_integrity(state: WorldState) -> None:
+    """Full-scan referential integrity check; raises ValueError on the first violation."""
+    for user, org, role in state.ura:
+        if user not in state.users:
+            raise ValueError(f"ura references unknown user {user}")
+        org_rec = state.orgs.get(org)
+        if org_rec is None:
+            raise ValueError(f"ura references unknown org {org}")
+        if role not in org_rec.role_catalog:
+            raise ValueError(f"ura references role {role!r} missing from org {org}")
+    for org, role, permission in state.pra:
+        org_rec = state.orgs.get(org)
+        if org_rec is None:
+            raise ValueError(f"pra references unknown org {org}")
+        if role not in org_rec.role_catalog:
+            raise ValueError(f"pra references role {role!r} missing from org {org}")
+        if not isinstance(permission, Permission):
+            raise ValueError("pra entry does not hold a Permission")
+    for org, rec in state.orgs.items():
+        policy = rec.role_catalog
+        for role, p in policy.items():
+            if p.max_holders is not None:
+                held = role_holder_count(state, org, role)
+                if held > p.max_holders:
+                    raise ValueError(f"role {org}/{role} over capacity: {held}")
+    for addr, record in state.users.items():
+        if keys.derive_address(bytes.fromhex(record.public_key)) != addr:
+            raise ValueError(f"user record {addr} fails address derivation")
+    for addr, nonce in state.nonces.items():
+        if nonce < 0:
+            raise ValueError(f"negative nonce for {addr}")

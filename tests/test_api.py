@@ -6,7 +6,7 @@ import threading
 import pytest
 import requests
 
-from rolechain import api, consensus
+from rolechain import api, codec, consensus, keys
 from rolechain.api import (
     MAX_BODY_BYTES,
     ApiServer,
@@ -18,7 +18,9 @@ from rolechain.consensus import Network, NetworkConfig
 from rolechain.errors import API_ERROR_CODES
 from rolechain.ledger import Chain, build_block, genesis_block, verify_chain
 from rolechain.store import Store, chain_path, save_genesis
-from rolechain.wallet import save_wallet
+from rolechain.wallet import decrypt_signing_key, save_wallet
+
+from conftest import PASSPHRASE
 
 
 
@@ -173,6 +175,41 @@ def test_bad_signature_code_is_bad_signature(cluster, txf):
     resp = requests.post(s0.url + "/v1/transactions", data=json.dumps(doc), timeout=30)
     assert resp.status_code == 422
     assert resp.json()["code"] == "BadSignature"
+
+
+def _signed_doc(wallet, nonce: int, payload: dict) -> dict:
+    """A wire transaction over *payload*, signed by *wallet*, that skips the payload's checks."""
+    body = {"nonce": nonce, "payload": payload, "sender": wallet.address}
+    signature = keys.sign(decrypt_signing_key(wallet, PASSPHRASE), codec.canonical_bytes(body))
+    return {**body, "public_key": wallet.public_key, "signature": signature.hex()}
+
+
+def test_signed_register_with_a_list_org_is_malformed_and_later_writes_commit(
+    cluster, txf, wallets
+):
+    s0, _ = cluster
+    payload = {**txf.register("bob", "acme", "member").payload.to_dict(), "org": ["acme"]}
+    doc = _signed_doc(wallets["bob"], 0, payload)
+    resp = requests.post(s0.url + "/v1/transactions", data=json.dumps(doc), timeout=30)
+    assert resp.status_code == 400 and resp.json()["code"] == "Malformed"
+    resp = _post_tx(s0, txf.register("alice", "acme", "member"))
+    assert resp.status_code == 202 and resp.json()["committed_height"] == 1
+
+
+def test_float_org_is_malformed(cluster, txf):
+    s0, _ = cluster
+    doc = txf.register("bob", "acme", "member").to_dict()
+    doc["payload"]["org"] = 1.5
+    resp = requests.post(s0.url + "/v1/transactions", data=json.dumps(doc), timeout=30)
+    assert resp.status_code == 400 and resp.json()["code"] == "Malformed"
+
+
+@pytest.mark.parametrize("path", ["/v1/blocks/x", "/v1/users/{addr}/roles/extra", "/v1/nope"])
+def test_unknown_get_path_is_not_found(cluster, wallets, path):
+    route = path.format(addr=wallets["alice"].address)
+    resp = requests.get(cluster[0].url + route, timeout=30)
+    assert resp.status_code == 404
+    assert resp.json() == {"code": "NotFound", "message": f"no such endpoint {route}"}
 
 
 def _raw_post(sock, headers: str) -> tuple[http.client.HTTPResponse, dict]:

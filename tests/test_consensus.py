@@ -254,7 +254,7 @@ def test_commit_whose_block_is_not_the_claimed_one_is_dropped(vals, genesis_file
 
     commit_from_each_peer(other)
     assert node.chain.height == 0
-    assert node.proposals == {} and node.commit_tally == {}
+    assert node.round.proposals == {} and node.round.commit_tally == {}
 
     commit_from_each_peer(honest)
     assert node.chain.height == 1 and node.chain.tip == honest

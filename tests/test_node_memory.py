@@ -13,9 +13,11 @@ import tracemalloc
 import pytest
 
 from conftest import TxFactory
-from rolechain import consensus
+from rolechain import consensus, keys
 from rolechain.api import NodeHandle
-from rolechain.consensus import PROPOSAL, VOTE, Network, NetworkConfig
+from rolechain.consensus import (
+    PROPOSAL, TX_GOSSIP, VOTE, Network, NetworkConfig, step_until_quiescent, submit_tx,
+)
 from rolechain.ledger import build_block, hash_header
 from rolechain.store import build_genesis_state
 
@@ -48,7 +50,7 @@ def test_recipients_of_one_proposal_hold_the_same_block(genesis_file, txf):
     net, vals = _network(genesis_file)
     block, body = _proposal(net, vals, txf)
     _deliver_broadcast(net, PROPOSAL, vals[1], body)
-    held = [node.proposals[hash_header(block.header)][0] for node in net.nodes.values()]
+    held = [node.round.proposals[hash_header(block.header)][0] for node in net.nodes.values()]
     assert held[0] == block and held[0] is not block  # parsed from the body
     assert all(b is held[0] for b in held)
     assert sorted(m.sender for m in net.queue if m.kind == VOTE) == sorted(vals * 4)
@@ -65,7 +67,7 @@ def test_malformed_proposal_gets_no_vote_from_any_recipient(genesis_file, txf, b
     sent = _deliver_broadcast(net, PROPOSAL, vals[1], body)
     assert len(sent) == 4
     assert not [m for m in net.queue if m.kind == VOTE]
-    assert all(node.proposals == {} for node in net.nodes.values())
+    assert all(node.round.proposals == {} for node in net.nodes.values())
 
 
 def test_a_broadcast_is_parsed_once_and_a_parse_error_reaches_every_recipient(genesis_file):
@@ -92,6 +94,29 @@ def test_a_broadcast_is_parsed_once_and_a_parse_error_reaches_every_recipient(ge
     net._send(PROPOSAL, vals[0], vals[1], {"height": 1})
     net.queue[-1].parse(parsing)
     assert len(calls) == 3
+
+
+@pytest.mark.parametrize("breakage, verifies", [("missing nonce", 0), ("forged signature", 1)])
+def test_bad_gossip_is_dropped_by_every_recipient_and_later_txs_commit(
+    genesis_file, txf, monkeypatch, breakage, verifies
+):
+    net, vals = _network(genesis_file)
+    body = {"tx": txf.register("bob", "acme", "member").to_dict()}
+    if breakage == "missing nonce":
+        del body["tx"]["nonce"]  # KeyError
+    else:
+        body["tx"]["signature"] = "11" * 64
+    calls = []
+    verify = keys.verify
+    monkeypatch.setattr(keys, "verify", lambda *args: calls.append(args) or verify(*args))
+    net.broadcast(TX_GOSSIP, vals[0], body)
+    assert step_until_quiescent(net, 50)  # step() raised nothing
+    assert len(net.trace) == 4 and len(calls) == verifies  # one envelope check per broadcast
+    assert all(node.mempool == {} for node in net.nodes.values())
+
+    ok, _, tx_id = submit_tx(net, txf.register("alice", "acme", "member"))
+    assert ok and step_until_quiescent(net, 100)
+    assert net.tx_heights == {tx_id: 1}
 
 
 def _retained() -> int:

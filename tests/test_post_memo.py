@@ -174,15 +174,15 @@ def test_altered_body_under_a_memoized_header_is_refused(genesis_file, txf, kind
     else:
         body = {"height": 1, "block_hash": block_hash, "block": bad.to_dict()}
     _deliver(net, node, kind, proposer, body)
-    assert node.proposals == {}
+    assert node.round.proposals == {}
     assert _votes_from(net, node.id) == []
 
     # The honest block is then taken from the memo, without executing it.
     with mock.patch.object(consensus, "execute_block", side_effect=AssertionError):
         body["block"] = block.to_dict()
         _deliver(net, node, kind, proposer, body)
-    assert node.proposals[block_hash][0] == block
-    assert node.proposals[block_hash][1] is recall_post(node.state, block_hash)[0]
+    assert node.round.proposals[block_hash][0] == block
+    assert node.round.proposals[block_hash][1] is recall_post(node.state, block_hash)[0]
 
 
 def _memo_read(*args):

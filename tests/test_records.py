@@ -82,6 +82,32 @@ def test_every_payload_kind_round_trips_through_payload_from_dict(samples):
         assert payload_from_dict(json.loads(codec.canonical_dumps(payload.to_dict()))) == payload
 
 
+# The id fields of each payload kind: an org or a role, which the state uses as keys.
+_ID_FIELDS = {
+    "register_user": ("org", "requested_role"),
+    "update_user_role": ("org", "old_role", "new_role"),
+    "grant_permission": ("org", "role"),
+    "revoke_permission": ("org", "role"),
+}
+
+
+@pytest.mark.parametrize("value", [["acme"], 1.5, 7, True, None, {"org": "acme"}])
+def test_a_payload_id_that_is_not_a_string_is_refused(txf, value):
+    for tx in (
+        txf.register("alice", "acme", "member"),
+        txf.update("admin_acme", "alice", "acme", "member", "auditor"),
+        txf.grant("admin_acme", "acme", "member", "ledger", "read"),
+        txf.revoke("admin_acme", "acme", "member", "ledger", "read"),
+    ):
+        wire = tx.payload.to_dict()
+        for name in _ID_FIELDS[wire["kind"]]:
+            with pytest.raises(ValueError, match=f"{name} must be a string"):
+                payload_from_dict({**wire, name: value})
+            # Only the type is checked: a string of any length still decodes.
+            for text in ("", "x" * 300):
+                assert getattr(payload_from_dict({**wire, name: text}), name) == text
+
+
 @pytest.mark.parametrize("where", ["admin", "validator"])
 @pytest.mark.parametrize("bad", ["zz" * 20, "AB" * 20, "ab" * 19, 7])
 def test_genesis_with_a_non_hex_address_is_refused(tmp_path, genesis_file, where, bad):

@@ -7,13 +7,13 @@ from rolechain.ledger import Block, Chain, new_chain, replay
 from rolechain.state import (
     WorldState,
     apply_transaction,
-    check_integrity,
     query_roles,
     query_user,
     state_root,
 )
 
 from conftest import PASSPHRASE, make_chain
+from oracles import check_integrity
 from workloads import WorkloadBuilder
 
 

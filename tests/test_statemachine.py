@@ -18,11 +18,12 @@ from rolechain.payloads import (
     RevokePermissionPayload,
     UpdateUserRolePayload,
 )
-from rolechain.state import Permission, apply_transaction, check_integrity, state_root
+from rolechain.state import Permission, apply_transaction, state_root
 from rolechain.store import build_genesis_state
 from rolechain.wallet import create_wallet, sign_transaction
 
 from conftest import WALLET_NAMES, make_genesis_file, make_wallet
+from oracles import check_integrity
 
 PASS = "machine passphrase 1"
 

@@ -1,0 +1,42 @@
+"""Work per committed write on one fixed in-process run.
+
+Twenty grants, each committed by its own pump, on a 4-validator network with
+a fixed seed. The counts are deterministic, so each bound below is the count
+measured on this run, and any extra verify or encode on the replication path
+fails here without any timing noise.
+"""
+
+from collections import Counter
+
+from rolechain import codec, keys
+from rolechain.consensus import Network, NetworkConfig, step_until_quiescent, submit_tx
+from rolechain.store import build_genesis_state
+
+WRITES = 20
+# Ed25519 verifies per committed write: admission, the gossip broadcast's one
+# parse, the proposer's selection and its block build.
+VERIFIES_PER_TX = 4
+ENCODES_PER_TX = 115  # calls to codec.canonical_dumps
+
+
+def test_work_per_committed_write_stays_within_the_measured_counts(genesis_file, txf, monkeypatch):
+    vals = list(genesis_file.validators)
+    net = Network(NetworkConfig(validators=vals, rng_seed=3), build_genesis_state(genesis_file))
+    txs = [txf.grant("admin_acme", "acme", "member", f"res{i}", "read") for i in range(WRITES)]
+    counts = Counter()
+
+    def counting(name, fn):
+        def counted(*args):
+            counts[name] += 1
+            return fn(*args)
+        return counted
+
+    monkeypatch.setattr(keys, "verify", counting("verify", keys.verify))
+    monkeypatch.setattr(codec, "canonical_dumps", counting("encode", codec.canonical_dumps))
+    for tx in txs:
+        assert submit_tx(net, tx, via=vals[0])[0]
+        assert step_until_quiescent(net, 400)
+    assert len(net.tx_heights) == WRITES
+    assert all(node.next_height == WRITES + 1 for node in net.nodes.values())
+    assert counts["verify"] <= VERIFIES_PER_TX * WRITES
+    assert counts["encode"] <= ENCODES_PER_TX * WRITES
