@@ -200,6 +200,7 @@ class _Handler(BaseHTTPRequestHandler):
             raw = self.rfile.read(int(length))
             try:
                 doc = json.loads(raw)
+                codec.canonical_bytes(doc)  # UnicodeEncodeError on a lone surrogate
                 tx = SignedTransaction.from_dict(doc)
             except (ValueError, KeyError, TypeError) as exc:
                 return self._error(400, "Malformed", f"body is not a transaction: {exc}")

@@ -20,15 +20,16 @@ of scope, per the trusted-validator setting):
   them by full replay. When a fault window closes (partition heals, node
   revives) every node announces its tip once, modeling the handshake of a
   re-established connection; that exchange triggers the block sync.
-* Replicas in one process share one execution of a block. A replica
-  checks a block's height, link and ``tx_root`` with ``append_block``, then
-  executes it on its committed state, unless that very state object already
-  carries the block's post-state (the proposer's ``build_block`` left it
-  there, or another replica executed it): then it only checks the events
-  against the remembered ones. The first replica to finalize a height
-  appends the block and drops the memo of the state it leaves; the others
-  take its chain and state. Audits and cold-start replay re-execute every
-  block. The recipients of one broadcast share one parse of its body
+* Replicas in one process share one execution of a block. The proposer
+  seals its block from its selection fold, and ``Network.executed`` keeps
+  the post-state and events of each block built or executed, by header
+  hash. A replica checks a block's height, link and ``tx_root`` with
+  ``append_block`` (the link pins the history, so the pre-state); a block
+  in the table is then only checked for its events, which the header does
+  not pin, and any other is executed and recorded. The first replica to
+  finalize a height appends the block and prunes the table up to it; the
+  others take its chain and state. Audits and cold-start replay re-execute
+  every block. The recipients of one broadcast share one parse of its body
   (``Message.parse``, which for a transaction includes its envelope check).
 
 Everything is a pure function of (config, workload, seed): messages carry a
@@ -46,11 +47,10 @@ from dataclasses import dataclass, field
 from . import codec
 from .errors import ChainError, SimTimeout, TransactionError
 from .ledger import (
-    Block, BlockHeader, Chain, append_block, build_block, execute_block, forget_posts, hash_header,
-    new_chain, recall_post, remember_post,
+    Block, BlockHeader, Chain, append_block, execute_block, hash_header, new_chain, seal_block,
 )
 from .payloads import SignedTransaction
-from .state import WorldState, apply_transaction, expected_nonce, state_root
+from .state import Event, WorldState, apply_transaction, expected_nonce, state_root
 from .wallet import verify_envelope
 
 VIEW_TIMEOUT_TICKS = 12   # must exceed a full propose/vote/commit exchange
@@ -143,7 +143,7 @@ class Message:
 
     def fingerprint(self) -> dict:
         return {
-            "body": codec.digest(self.body),
+            "body": self.parse(codec.digest),
             "kind": self.kind,
             "recipient": self.recipient,
             "sender": self.sender,
@@ -232,6 +232,9 @@ class Network:
         # replica shares this one index: a tx is on a replica's chain iff its
         # height is below the replica's next height.
         self.tx_heights: dict[str, int] = {}
+        # Header hash -> (height, post-state, events) of every block some
+        # replica built or executed above the finalized height.
+        self.executed: dict[str, tuple[int, WorldState, tuple[Event, ...]]] = {}
         self.nodes: dict[str, ValidatorNode] = {
             v: ValidatorNode(
                 id=v, chain=new_chain(genesis_state), state=genesis_state,
@@ -346,8 +349,9 @@ def step(network: Network) -> Network:
 def _finalize(network: Network, node: ValidatorNode, block: Block, post: WorldState) -> None:
     # Take the chain and state objects of a peer that finalized this block
     # already (finality is unique, and equal roots mean equal states): only
-    # the first replica at a height appends and indexes it, and a replica
-    # that caught up through sync shares the others' post-state memo again.
+    # the first replica at a height appends and indexes it. That replica
+    # also drops the executed blocks up to this height; a replica that
+    # catches up later executes them itself.
     height = block.header.height
     for peer in network.nodes.values():
         if peer.next_height == height + 1 and peer.chain.tip.header == block.header:
@@ -357,20 +361,19 @@ def _finalize(network: Network, node: ValidatorNode, block: Block, post: WorldSt
         chain = append_block(node.chain, block)
         for tx in block.transactions:
             node.tx_heights.setdefault(tx.tx_id, height)
+        network.executed = {k: v for k, v in network.executed.items() if v[0] > height}
     node.chain = chain
-    # Drop the memo of the state left behind: a replica that stays on it
-    # (crashed, cut off) would otherwise keep every later state alive. One
-    # that catches up later executes the blocks itself.
-    forget_posts(node.state)
     node.state = post
     node.round = Round(entered=network.tick)
     # Walking the whole mempool drops every transaction that can never apply.
     _select_txs(node, limit=len(node.mempool))
 
 
-def _validate_proposal(node: ValidatorNode, block: Block, block_hash: str) -> WorldState | None:
+def _validate_proposal(
+    network: Network, node: ValidatorNode, block: Block, block_hash: str
+) -> WorldState | None:
     """The post-state of *block* (whose header hashes to *block_hash*) on *node*, or None."""
-    known = recall_post(node.state, block_hash)
+    known = network.executed.get(block_hash)
     try:
         append_block(node.chain, block)  # height, link and tx_root
         if known is None:
@@ -378,15 +381,15 @@ def _validate_proposal(node: ValidatorNode, block: Block, block_hash: str) -> Wo
     except (ChainError, TransactionError):
         return None
     if known is not None:
-        post, events = known
+        _, post, events = known
         return post if block.events == events else None
-    remember_post(node.state, block_hash, post, block.events)
+    network.executed[block_hash] = (block.header.height, post, block.events)
     return post
 
 
 def _adopt_block(network: Network, node: ValidatorNode, block: Block) -> bool:
     """Validate and finalize a block learned through sync."""
-    post = _validate_proposal(node, block, hash_header(block.header))
+    post = _validate_proposal(network, node, block, hash_header(block.header))
     if post is None:
         return False
     _finalize(network, node, block, post)
@@ -482,7 +485,7 @@ def _handle(network: Network, node: ValidatorNode, msg: Message) -> None:
         except (ValueError, KeyError):
             return
         if block_hash not in rnd.proposals:
-            post = _validate_proposal(node, block, block_hash)
+            post = _validate_proposal(network, node, block, block_hash)
             if post is None:
                 return
             rnd.proposals[block_hash] = (block, post)
@@ -515,7 +518,7 @@ def _handle(network: Network, node: ValidatorNode, msg: Message) -> None:
                 block, _ = msg.parse(_carried_block)
             except (ValueError, KeyError):
                 return
-            post = _validate_proposal(node, block, block_hash)
+            post = _validate_proposal(network, node, block, block_hash)
             if post is not None:
                 rnd.proposals[block_hash] = (block, post)
         _check_tallies(network, node)
@@ -590,12 +593,11 @@ def _local_actions(network: Network, node: ValidatorNode) -> None:
     if rnd.lock is not None and rnd.lock in rnd.proposals:
         block = rnd.proposals[rnd.lock][0]
     else:
-        txs = _select_txs(node)
+        txs, post, events = _select_txs(node)
         if not txs:
             return
-        block = build_block(
-            node.chain.tip.header, txs, node.state, node.id, network.tick
-        )
+        block = seal_block(node.chain.tip.header, txs, post, events, node.id, network.tick)
+        network.executed[hash_header(block.header)] = (height, post, block.events)
     rnd.proposed.add(rnd.view)
     network.broadcast(
         PROPOSAL, node.id,
@@ -608,10 +610,14 @@ def _local_actions(network: Network, node: ValidatorNode) -> None:
     )
 
 
-def _select_txs(node: ValidatorNode, limit: int = MAX_BLOCK_TXS) -> list[SignedTransaction]:
-    """Greedily pick up to *limit* mempool transactions that apply cleanly, dropping dead ones."""
+def _select_txs(node: ValidatorNode, limit: int = MAX_BLOCK_TXS) -> tuple[list, WorldState, list]:
+    """Greedily pick up to *limit* mempool transactions that apply cleanly, dropping dead ones.
+
+    Returns them with the post-state and events of their fold as the next block.
+    """
     selected: list[SignedTransaction] = []
     scratch = node.state
+    events: list[Event] = []
     dead: list[str] = []
     for tx_id, (tx, _) in node.mempool.items():
         if len(selected) >= limit:
@@ -626,13 +632,16 @@ def _select_txs(node: ValidatorNode, limit: int = MAX_BLOCK_TXS) -> list[SignedT
             dead.append(tx_id)
             continue
         try:
-            scratch, _ = apply_transaction(scratch, tx)
+            scratch, evs = apply_transaction(
+                scratch, tx, height=node.next_height, tx_index=len(selected)
+            )
             selected.append(tx)
+            events.extend(evs)
         except TransactionError:
             dead.append(tx_id)
     for tx_id in dead:
         del node.mempool[tx_id]
-    return selected
+    return selected, scratch, events
 
 
 def quiescent(network: Network) -> bool:

@@ -4,7 +4,8 @@ Headers commit to the ordered transaction list (``tx_root``), to the world
 state after applying it (``state_root``), and to the previous header
 (``prev_hash``), so any byte of committed history is covered by some digest
 a verifier recomputes. Timestamps are logical ticks handed in by consensus;
-nothing here reads a clock. Empty blocks are legal.
+nothing here reads a clock or remembers a block it built or executed, so
+every audit re-executes. Empty blocks are legal.
 
 One caveat is inherent to hash chains: the tip header's own non-root fields
 (proposer, timestamp) are only pinned by the *next* block. ``verify_chain``
@@ -128,55 +129,22 @@ def build_block(
     proposer: str,
     tick: int,
 ) -> Block:
-    """Assemble the block at ``prev.height + 1``; all-or-nothing over *txs*.
+    """Assemble the block at ``prev.height + 1``; all-or-nothing over *txs*."""
+    post, events = _apply_all(state, txs, prev.height + 1)
+    return seal_block(prev, txs, post, events, proposer, tick)
 
-    The post-state is remembered on *state* (:func:`remember_post`), so a
-    replica in this process that validates the block on the same state
-    object reuses it instead of executing the block again.
-    """
-    height = prev.height + 1
-    post, events = _apply_all(state, txs, height)
+
+def seal_block(prev: BlockHeader, txs, post: WorldState, events, proposer: str, tick: int) -> Block:
+    """The block at ``prev.height + 1`` over *txs*, whose fold already gave *post* and *events*."""
     header = BlockHeader(
-        height=height,
+        height=prev.height + 1,
         prev_hash=hash_header(prev),
         tx_root=tx_root(txs),
         state_root=state_root(post),
         proposer=proposer,
         timestamp=tick,
     )
-    block = Block(header=header, transactions=tuple(txs), events=tuple(events))
-    remember_post(state, hash_header(header), post, block.events)
-    return block
-
-
-def remember_post(
-    state: WorldState, block_hash: str, post: WorldState, events: tuple[Event, ...]
-) -> None:
-    """Memoize on *state* that the block with header hash *block_hash* leads to *post*.
-
-    Only record a block whose ``state_root`` is the root of *post* and whose
-    transactions, folded over *state*, emit *events*. The memo lives as long
-    as *state* does, or until :func:`forget_posts`.
-    """
-    if state._posts is None:
-        state._posts = {}
-    state._posts[block_hash] = (post, events)
-
-
-def recall_post(state: WorldState, block_hash: str) -> tuple[WorldState, tuple[Event, ...]] | None:
-    """The (post-state, events) remembered on *state* for *block_hash*, if any.
-
-    The header hash pins ``tx_root`` and ``state_root`` but not the block's
-    body, so a caller still checks the block's transactions against
-    ``tx_root`` and its events against the remembered ones. Only consensus
-    reads the memo; ``execute_block`` and the audits below never do.
-    """
-    return None if state._posts is None else state._posts.get(block_hash)
-
-
-def forget_posts(state: WorldState) -> None:
-    """Drop *state*'s memo, so the post-states it holds can be collected."""
-    state._posts = None
+    return Block(header=header, transactions=tuple(txs), events=tuple(events))
 
 
 def execute_block(state: WorldState, block: Block) -> WorldState:

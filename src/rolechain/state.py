@@ -13,12 +13,6 @@ fragments in sorted key order. This relies on two invariants. Records are
 immutable, and a fragment is a pure function of its key and value, so it is
 reused only for the very object it was encoded from.
 
-Beside ``_fragments`` a state may carry ``_posts``, a memo of post-states
-this process already computed from it, by the header hash of the block that
-led there (``ledger.remember_post``). Replicas of one process that validate
-the same block on the same state share one execution through it; no audit
-reads it.
-
 Two relations carry the access-control model:
 
 * ``ura`` — (user address, org id, role id): who holds which role where.
@@ -176,9 +170,6 @@ class WorldState:
     # sections (nonces, pra, ura, users), the orgs text and the root. Not a
     # field, so never compared; replaced, never mutated, so clones share it.
     _fragments = ((_NO_SECTION,) * 4, None, None)
-    # Block header hash -> (post-state, events) of blocks already executed on
-    # this state (see ledger.remember_post). Not a field and not cloned.
-    _posts = None
 
     def clone(self) -> "WorldState":
         # Records are immutable, so container-level copies are enough.

@@ -73,6 +73,15 @@ def load_genesis(path: str | Path) -> GenesisFile:
 
 # --- block store ---------------------------------------------------------------
 
+def fsync_dir(path: Path) -> None:
+    """Make the entries of directory *path* (a file created or renamed there) durable."""
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
+
+
 class Store:
     """Append-only block file; one writer, crash-safe appends."""
 
@@ -80,6 +89,7 @@ class Store:
         self.path = Path(path)
         self.path.parent.mkdir(parents=True, exist_ok=True)
         self.path.touch(exist_ok=True)
+        fsync_dir(self.path.parent)
 
     def append(self, block: Block) -> None:
         block_dict = block.to_dict()
@@ -130,6 +140,7 @@ def load_chain(store: Store) -> Chain:
                 )
                 with open(store.path, "r+b") as fh:
                     fh.truncate(good_bytes)
+                    os.fsync(fh.fileno())
                 break
             raise CorruptStore(i, f"store line {i} unreadable: {exc}") from exc
         if block.header.height != i:

@@ -17,6 +17,7 @@ from pathlib import Path
 from . import codec, keys
 from .errors import BadPassphrase, SenderMismatch, WeakPassphrase
 from .payloads import Payload, SignedTransaction
+from .store import fsync_dir
 
 MIN_PASSPHRASE_LENGTH = 8
 DEFAULT_KDF_ITERATIONS = 10_000  # tunable; kept modest so test suites stay fast
@@ -122,6 +123,7 @@ def save_wallet(wallet: Wallet, path: str | Path) -> None:
 
     A temp file created with mode 0o600 (``mkstemp``: ``O_CREAT | O_EXCL``) is
     synced, then renamed over *path*: the key is never readable by others.
+    The directory is synced last, so the rename survives a crash.
     """
     p = Path(path)
     fd, tmp = tempfile.mkstemp(dir=p.parent, prefix=f".{p.name}.", suffix=".tmp")
@@ -134,6 +136,7 @@ def save_wallet(wallet: Wallet, path: str | Path) -> None:
     except BaseException:
         os.unlink(tmp)
         raise
+    fsync_dir(p.parent)
 
 
 def load_wallet(path: str | Path) -> Wallet:

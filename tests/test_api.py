@@ -196,6 +196,16 @@ def test_signed_register_with_a_list_org_is_malformed_and_later_writes_commit(
     assert resp.status_code == 202 and resp.json()["committed_height"] == 1
 
 
+def test_lone_surrogate_org_is_malformed_and_later_writes_commit(cluster, txf):
+    s0, _ = cluster
+    doc = txf.register("bob", "acme", "member").to_dict()
+    doc["payload"]["org"] = "\ud800"
+    resp = requests.post(s0.url + "/v1/transactions", data=json.dumps(doc), timeout=30)
+    assert resp.status_code == 400 and resp.json()["code"] == "Malformed"
+    resp = _post_tx(s0, txf.register("alice", "acme", "member"))
+    assert resp.status_code == 202 and resp.json()["committed_height"] == 1
+
+
 def test_float_org_is_malformed(cluster, txf):
     s0, _ = cluster
     doc = txf.register("bob", "acme", "member").to_dict()

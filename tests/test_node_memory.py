@@ -23,7 +23,7 @@ from rolechain.store import build_genesis_state
 
 
 def _network(genesis_file):
-    # A fresh genesis state: build_block leaves its post-state on the state it reads.
+    # A fresh genesis state per network, as a node starts with.
     vals = list(genesis_file.validators)
     return Network(NetworkConfig(validators=vals, rng_seed=5), build_genesis_state(genesis_file)), vals
 

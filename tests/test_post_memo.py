@@ -1,15 +1,17 @@
-"""The post-state memo: replicas in one process share one execution of a block.
+"""The execution memo: replicas in one process share one execution of a block.
 
-``ledger.build_block`` and a replica's full ``execute_block`` leave the
-post-state on the pre-state object, and a replica validating the same block
-on the same object reuses it. These tests pin what that may not change:
+``Network.executed`` keeps, by header hash, the post-state and events of
+every block the proposer sealed from its selection fold or a replica
+executed, and a replica validating a block found there reuses them. These
+tests pin what that may not change:
 
 * a differential run against the same schedules with every lookup missing
   gives the same chains, roots, report and trace digest;
 * a block whose header hash is memoized but whose body was altered is still
   refused;
 * the audits (``verify_chain``, ``replay``) never read the memo;
-* a replica left behind on an old state does not keep later states alive.
+* a replica left behind on an old state does not keep later states alive;
+* ``build_block`` leaves its input state as it was.
 """
 
 import dataclasses
@@ -20,7 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rolechain import consensus, ledger
+from rolechain import consensus
 from rolechain.consensus import (
     COMMIT,
     PROPOSAL,
@@ -38,9 +40,7 @@ from rolechain.consensus import (
     submit_tx,
 )
 from rolechain.errors import ReplayDivergence
-from rolechain.ledger import (
-    build_block, hash_header, recall_post, remember_post, replay, verify_chain,
-)
+from rolechain.ledger import build_block, hash_header, new_chain, replay, verify_chain
 from rolechain.state import WorldState, state_root
 from rolechain.store import build_genesis_state
 
@@ -52,8 +52,8 @@ SETTLE_TICKS = 800
 N_NODES = 4
 
 
-def _never(state, block_hash):
-    return None
+# Every lookup in the table misses, and what is written to it is lost.
+_NEVER = property(lambda network: {}, lambda network, value: None)
 
 
 def _window(draw, min_len: int, max_len: int) -> tuple[int, int]:
@@ -131,7 +131,7 @@ def test_memo_changes_no_outcome_under_random_fault_schedules(
         executes.append(0)
         shipped = _run(genesis_file, vals, schedule, rng_seed, submissions)
         executes.append(0)
-        with mock.patch.object(consensus, "recall_post", _never):
+        with mock.patch.object(Network, "executed", _NEVER, create=True):
             missing = _run(genesis_file, vals, schedule, rng_seed, submissions)
 
     assert shipped == missing
@@ -161,11 +161,13 @@ def test_altered_body_under_a_memoized_header_is_refused(genesis_file, txf, kind
     net = Network(NetworkConfig(validators=vals), build_genesis_state(genesis_file))
     node = net.nodes[vals[0]]
     proposer = net.proposer_for(1, 0)
-    block = build_block(
-        node.chain.tip.header, [txf.register("alice", "acme", "member")], node.state, proposer, 1
-    )
-    block_hash = hash_header(block.header)
-    assert recall_post(node.state, block_hash) is not None
+    # The proposer seals its block from its selection fold and records it.
+    net.nodes[proposer].admit(txf.register("alice", "acme", "member"), net.tick)
+    consensus._local_actions(net, net.nodes[proposer])
+    (sent,) = {m.parse(consensus._carried_block) for m in net.queue}
+    net.queue = []
+    block, block_hash = sent
+    assert block_hash in net.executed
     bad = _tampered(block, txf.register("bob", "acme", "member"), part)
     assert hash_header(bad.header) == block_hash
 
@@ -182,16 +184,12 @@ def test_altered_body_under_a_memoized_header_is_refused(genesis_file, txf, kind
         body["block"] = block.to_dict()
         _deliver(net, node, kind, proposer, body)
     assert node.round.proposals[block_hash][0] == block
-    assert node.round.proposals[block_hash][1] is recall_post(node.state, block_hash)[0]
-
-
-def _memo_read(*args):
-    raise AssertionError("the memo was read")
+    assert node.round.proposals[block_hash][1] is net.executed[block_hash][1]
 
 
 @pytest.fixture
 def built_chain(genesis_file, txf):
-    """A chain committed by a Network in this process, with its genesis state's memo seeded."""
+    """A chain committed by a Network in this process, and a wrong memo entry for each block."""
     vals = list(genesis_file.validators)
     genesis = build_genesis_state(genesis_file)
     net = Network(NetworkConfig(validators=vals, rng_seed=5), genesis)
@@ -204,14 +202,10 @@ def built_chain(genesis_file, txf):
         assert step_until_quiescent(net, 100)
     chain = net.nodes[vals[0]].chain
     assert chain.height == 3
-    # Finalizing dropped the genesis memo; rebuilding block 1 seeds it again,
-    # so a memo-reading audit would find every height-1 header there.
-    first = chain.blocks[1]
-    rebuilt = build_block(
-        chain.blocks[0].header, list(first.transactions), genesis,
-        first.header.proposer, first.header.timestamp,
-    )
-    assert rebuilt == first and recall_post(genesis, hash_header(first.header)) is not None
+    # Finalizing pruned the table; plant an entry for every block whose
+    # post-state and events are wrong, so an audit that read it would fail.
+    for block in chain.blocks[1:]:
+        net.executed[hash_header(block.header)] = (block.header.height, genesis, ())
     return genesis, chain
 
 
@@ -222,18 +216,10 @@ def _with_block(chain, height, block):
 
 
 @pytest.mark.parametrize("height,part", [(1, "events"), (2, "transactions")])
-def test_audits_name_a_tampered_block_without_reading_the_memo(
-    built_chain, txf, monkeypatch, height, part
-):
+def test_audits_name_a_tampered_block_without_reading_the_memo(built_chain, txf, height, part):
     genesis, chain = built_chain
     bad = _tampered(chain.blocks[height], txf.register("carol", "acme", "member"), part)
     tampered = _with_block(chain, height, bad)
-
-    for module in (ledger, consensus):
-        monkeypatch.setattr(module, "recall_post", _memo_read)
-    monkeypatch.setattr(WorldState, "_posts", property(_memo_read))
-    with pytest.raises(AssertionError, match="memo was read"):
-        genesis._posts
 
     assert verify_chain(chain, genesis) is None
     assert state_root(replay(genesis, chain)) == chain.tip.header.state_root
@@ -270,16 +256,20 @@ def test_replica_crashed_forever_keeps_no_later_state_alive(genesis_file, txf):
     assert quiescent(net)
     assert net.nodes[vals[3]].chain.height == 0
     assert _live_states() == after_n
+    # Finalizing pruned every executed block at or below the finalized height.
+    assert net.executed == {}
 
 
-def test_memo_is_not_a_field_and_not_cloned(genesis_file):
+def test_build_block_leaves_its_input_state_unchanged(genesis_file, txf):
     state = build_genesis_state(genesis_file)
-    post = state.clone()
-    remember_post(state, "ab" * 32, post, ())
-    assert recall_post(state, "ab" * 32) == (post, ())
-    assert recall_post(state.clone(), "ab" * 32) is None
+    genesis = new_chain(state)
+    before = dict(vars(state))
+    block = build_block(
+        genesis.tip.header, [txf.register("alice", "acme", "member")], state, "00" * 20, 1
+    )
+    assert block.header.height == 1 and len(block.events) == 1
+    assert vars(state) == before
     assert state == build_genesis_state(genesis_file)
-    assert "_posts" not in state.to_dict()
 
 
 def test_replica_that_synced_shares_the_post_state_memo_again(genesis_file, txf):

@@ -1,5 +1,7 @@
 import json
+import os
 import random
+import stat
 
 import pytest
 
@@ -13,6 +15,8 @@ from rolechain.store import (
     load_genesis,
     save_genesis,
 )
+
+from rolechain.wallet import save_wallet
 
 from conftest import make_chain
 from oracles import mutate_one_byte
@@ -152,3 +156,32 @@ def test_genesis_validation(genesis_file, wallets):
     with pytest.raises(ValueError):
         build_genesis_state(GenesisFile(chain_id="x", validators=genesis_file.validators,
                                         orgs=(reserved,)))
+
+
+@pytest.mark.parametrize("case", ["store created", "wallet saved", "torn tail truncated"])
+def test_each_durable_change_is_fsynced(tmp_path, chain10, wallets, monkeypatch, case):
+    """Record what each ``os.fsync`` call synced: (is a directory, inode)."""
+    if case == "torn tail truncated":
+        store = _write(tmp_path, chain10)
+        with open(store.path, "ab") as fh:
+            fh.write(b'{"block": {"hea')
+    synced = []
+    fsync = os.fsync
+
+    def recording(fd):
+        st = os.fstat(fd)
+        synced.append((stat.S_ISDIR(st.st_mode), st.st_ino))
+        return fsync(fd)
+
+    monkeypatch.setattr(os, "fsync", recording)
+    if case == "store created":
+        store = open_store(tmp_path / "data" / "chain.jsonl")
+        assert (True, os.stat(tmp_path / "data").st_ino) in synced
+    elif case == "wallet saved":
+        save_wallet(wallets["alice"], tmp_path / "alice.json")
+        # The temp file first, then the directory holding the renamed entry.
+        assert synced[-1] == (True, os.stat(tmp_path).st_ino)
+        assert synced[-2] == (False, os.stat(tmp_path / "alice.json").st_ino)
+    else:
+        assert len(load_chain(store)) == len(chain10)
+        assert synced == [(False, os.stat(store.path).st_ino)]

@@ -8,15 +8,16 @@ fails here without any timing noise.
 
 from collections import Counter
 
-from rolechain import codec, keys
+from rolechain import codec, consensus, keys, ledger, state
 from rolechain.consensus import Network, NetworkConfig, step_until_quiescent, submit_tx
 from rolechain.store import build_genesis_state
 
 WRITES = 20
 # Ed25519 verifies per committed write: admission, the gossip broadcast's one
-# parse, the proposer's selection and its block build.
-VERIFIES_PER_TX = 4
-ENCODES_PER_TX = 115  # calls to codec.canonical_dumps
+# parse, and the proposer's selection, whose fold is its block's fold.
+VERIFIES_PER_TX = 3
+ENCODES_PER_TX = 84  # calls to codec.canonical_dumps
+APPLIES_PER_TX = 1  # calls to state.apply_transaction
 
 
 def test_work_per_committed_write_stays_within_the_measured_counts(genesis_file, txf, monkeypatch):
@@ -26,13 +27,16 @@ def test_work_per_committed_write_stays_within_the_measured_counts(genesis_file,
     counts = Counter()
 
     def counting(name, fn):
-        def counted(*args):
+        def counted(*args, **kwargs):
             counts[name] += 1
-            return fn(*args)
+            return fn(*args, **kwargs)
         return counted
 
     monkeypatch.setattr(keys, "verify", counting("verify", keys.verify))
     monkeypatch.setattr(codec, "canonical_dumps", counting("encode", codec.canonical_dumps))
+    apply = counting("apply", state.apply_transaction)
+    for module in (state, consensus, ledger):
+        monkeypatch.setattr(module, "apply_transaction", apply)
     for tx in txs:
         assert submit_tx(net, tx, via=vals[0])[0]
         assert step_until_quiescent(net, 400)
@@ -40,3 +44,4 @@ def test_work_per_committed_write_stays_within_the_measured_counts(genesis_file,
     assert all(node.next_height == WRITES + 1 for node in net.nodes.values())
     assert counts["verify"] <= VERIFIES_PER_TX * WRITES
     assert counts["encode"] <= ENCODES_PER_TX * WRITES
+    assert counts["apply"] <= APPLIES_PER_TX * WRITES
