@@ -24,7 +24,7 @@ of scope, per the trusted-validator setting):
   seals its block from its selection fold, and ``Network.executed`` keeps
   the post-state and events of each block built or executed, by header
   hash. A replica checks a block's height, link and ``tx_root`` with
-  ``append_block`` (the link pins the history, so the pre-state); a block
+  ``check_link`` (the link pins the history, so the pre-state); a block
   in the table is then only checked for its events, which the header does
   not pin, and any other is executed and recorded. The first replica to
   finalize a height appends the block and prunes the table up to it; the
@@ -47,7 +47,8 @@ from dataclasses import dataclass, field
 from . import codec
 from .errors import ChainError, SimTimeout, TransactionError
 from .ledger import (
-    Block, BlockHeader, Chain, append_block, execute_block, hash_header, new_chain, seal_block,
+    Block, BlockHeader, Chain, append_block, check_link, execute_block, hash_header, new_chain,
+    seal_block,
 )
 from .payloads import SignedTransaction
 from .state import Event, WorldState, apply_transaction, expected_nonce, state_root
@@ -375,7 +376,7 @@ def _validate_proposal(
     """The post-state of *block* (whose header hashes to *block_hash*) on *node*, or None."""
     known = network.executed.get(block_hash)
     try:
-        append_block(node.chain, block)  # height, link and tx_root
+        check_link(node.chain.tip.header, block)
         if known is None:
             post = execute_block(node.state, block)
     except (ChainError, TransactionError):

@@ -19,7 +19,8 @@ from dataclasses import dataclass
 
 from . import codec
 from .errors import (
-    HeightGap, InvalidTransaction, LinkMismatch, ReplayDivergence, RootMismatch, TransactionError,
+    ChainError, HeightGap, InvalidTransaction, LinkMismatch, ReplayDivergence, RootMismatch,
+    TransactionError,
 )
 from .payloads import SignedTransaction
 from .state import Event, WorldState, apply_transaction, state_root
@@ -92,14 +93,14 @@ def tx_root(transactions) -> str:
     return codec.digest([t.to_dict() for t in transactions])
 
 
-def genesis_block(genesis_state: WorldState, *, timestamp: int = 0) -> Block:
+def genesis_block(genesis_state: WorldState) -> Block:
     header = BlockHeader(
         height=0,
         prev_hash=GENESIS_PREV_HASH,
         tx_root=tx_root(()),
         state_root=state_root(genesis_state),
         proposer=codec.ZERO_ADDRESS,
-        timestamp=timestamp,
+        timestamp=0,
     )
     return Block(header=header, transactions=(), events=())
 
@@ -147,15 +148,24 @@ def seal_block(prev: BlockHeader, txs, post: WorldState, events, proposer: str, 
     return Block(header=header, transactions=tuple(txs), events=tuple(events))
 
 
-def execute_block(state: WorldState, block: Block) -> WorldState:
-    """Replay *block* against *state*, checking every digest it commits to.
-
-    Raises RootMismatch / InvalidTransaction when the block's content does
-    not withstand recomputation; returns the post-state on success.
-    """
+def check_link(parent: BlockHeader, block: Block) -> None:
+    """Raise HeightGap, LinkMismatch or RootMismatch unless *block* is the child of *parent*."""
     h = block.header.height
+    if h != parent.height + 1:
+        raise HeightGap(f"expected height {parent.height + 1}, block claims {h}")
+    if block.header.prev_hash != hash_header(parent):
+        raise LinkMismatch(f"block at height {h} does not link to tip")
     if tx_root(block.transactions) != block.header.tx_root:
         raise RootMismatch(f"tx root mismatch at height {h}")
+
+
+def execute_block(state: WorldState, block: Block) -> WorldState:
+    """Replay *block*, which passed :func:`check_link`, on its parent's post-state *state*.
+
+    Raises RootMismatch / InvalidTransaction when its events or state root
+    do not withstand recomputation; returns the post-state on success.
+    """
+    h = block.header.height
     post, events = _apply_all(state, block.transactions, h)
     if tuple(events) != tuple(block.events):
         raise RootMismatch(f"event log does not match transaction replay at height {h}")
@@ -165,16 +175,8 @@ def execute_block(state: WorldState, block: Block) -> WorldState:
 
 
 def append_block(chain: Chain, block: Block) -> Chain:
-    """Extend the chain by one block after structural checks; prior blocks are shared."""
-    tip = chain.tip
-    if block.header.height != tip.header.height + 1:
-        raise HeightGap(
-            f"expected height {tip.header.height + 1}, block claims {block.header.height}"
-        )
-    if block.header.prev_hash != hash_header(tip.header):
-        raise LinkMismatch(f"block at height {block.header.height} does not link to tip")
-    if tx_root(block.transactions) != block.header.tx_root:
-        raise RootMismatch(f"tx root mismatch at height {block.header.height}")
+    """Extend the chain by one block that passes :func:`check_link`; prior blocks are shared."""
+    check_link(chain.tip.header, block)
     return Chain(blocks=(*chain.blocks, block))
 
 
@@ -183,7 +185,7 @@ def verify_chain(
     genesis_state: WorldState,
     expected_tip_hash: str | None = None,
 ) -> FailureAt | None:
-    """Full audit: links, roots, signatures, and event logs, by deterministic replay.
+    """Full audit: genesis, links, roots, signatures and event logs, by deterministic replay.
 
     Returns None when everything holds, else the first failing height. A
     broken hash link between consecutive headers is attributed to the earlier
@@ -203,30 +205,19 @@ def audit_chain(
     the last block before the failure.
     """
     blocks = chain.blocks
-    if not blocks:
-        return FailureAt(0, "chain has no genesis block"), genesis_state
-    g = blocks[0]
-    if g.header.height != 0:
-        return FailureAt(0, "genesis height is not 0"), genesis_state
-    if g.header.prev_hash != GENESIS_PREV_HASH:
-        return FailureAt(0, "genesis prev_hash is not all zero"), genesis_state
-    if g.transactions or g.events:
-        return FailureAt(0, "genesis block must carry no transactions or events"), genesis_state
-    if g.header.tx_root != tx_root(()):
-        return FailureAt(0, "genesis tx root mismatch"), genesis_state
-    if g.header.state_root != state_root(genesis_state):
-        return FailureAt(0, "genesis state root does not match the genesis state"), genesis_state
+    if not blocks or blocks[0].transactions or blocks[0].events or (
+        blocks[0].header != genesis_block(genesis_state).header
+    ):
+        return FailureAt(0, "genesis block does not match the genesis state"), genesis_state
 
     st = genesis_state
     for h in range(1, len(blocks)):
-        block = blocks[h]
-        if block.header.height != h:
-            return FailureAt(h, f"height {block.header.height} at chain position {h}"), st
-        if block.header.prev_hash != hash_header(blocks[h - 1].header):
-            return FailureAt(h - 1, f"hash link broken between heights {h - 1} and {h}"), st
         try:
-            st = execute_block(st, block)
-        except (RootMismatch, InvalidTransaction) as exc:
+            check_link(blocks[h - 1].header, blocks[h])
+            st = execute_block(st, blocks[h])
+        except LinkMismatch:
+            return FailureAt(h - 1, f"hash link broken between heights {h - 1} and {h}"), st
+        except ChainError as exc:
             return FailureAt(h, str(exc)), st
     if expected_tip_hash is not None:
         if hash_header(blocks[-1].header) != expected_tip_hash:

@@ -1,3 +1,4 @@
+import dataclasses
 import http.client
 import json
 import socket
@@ -222,6 +223,23 @@ def test_unknown_get_path_is_not_found(cluster, wallets, path):
     assert resp.json() == {"code": "NotFound", "message": f"no such endpoint {route}"}
 
 
+@pytest.mark.parametrize("addr", ["AB" * 20, "ab" * 19, "ab" * 21])
+@pytest.mark.parametrize("route", [
+    "/v1/accounts/{addr}", "/v1/users/{addr}", "/v1/users/{addr}/roles",
+    "/v1/permissions/check?user={addr}&org=acme&resource=ledger&action=read",
+])
+def test_an_address_that_is_not_40_lowercase_hex_is_malformed(cluster, route, addr):
+    resp = requests.get(cluster[0].url + route.format(addr=addr), timeout=30)
+    assert resp.status_code == 400 and resp.json()["code"] == "Malformed"
+
+
+def test_a_block_height_too_long_for_int_is_not_found_and_the_server_still_answers(cluster):
+    s0, _ = cluster
+    resp = requests.get(s0.url + "/v1/blocks/" + "9" * 5000, timeout=30)
+    assert resp.status_code == 404 and resp.json()["code"] == "NotFound"
+    assert requests.get(s0.url + "/v1/status", timeout=30).status_code == 200
+
+
 def _raw_post(sock, headers: str) -> tuple[http.client.HTTPResponse, dict]:
     """Send a POST head (and no body) on *sock*; parse the one reply."""
     sock.sendall(f"POST /v1/transactions HTTP/1.1\r\nHost: x\r\n{headers}\r\n".encode())
@@ -396,13 +414,14 @@ def test_build_node_service_refuses_a_stored_genesis_of_another_timestamp(
 ):
     # A chain consistent in itself, but grown from a genesis block stamped
     # with tick 5 instead of the genesis file's block at tick 0.
-    genesis = genesis_block(genesis_state, timestamp=5)
+    genesis = genesis_block(genesis_state)
+    genesis = dataclasses.replace(genesis, header=dataclasses.replace(genesis.header, timestamp=5))
     block = build_block(
         genesis.header, [txf.register("carol", "acme", "member", nonce=0)],
         genesis_state, wallets["v0"].address, tick=6,
     )
     chain = Chain(blocks=(genesis, block))
-    assert verify_chain(chain, genesis_state) is None
+    assert verify_chain(chain, genesis_state).height == 0
     data_dir = tmp_path / "node0"
     data_dir.mkdir()
     store = Store(chain_path(data_dir))

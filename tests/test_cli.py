@@ -1,19 +1,23 @@
+import dataclasses
 import io
 import json
+import os
 import threading
 from http.server import ThreadingHTTPServer
 
 import pytest
 from click.testing import CliRunner
 
+from rolechain import codec
 from rolechain.api import SHUTDOWN_POLL_S, NodeHandle, _Handler
 from rolechain.cli import main
 from rolechain.consensus import Network, NetworkConfig
+from rolechain.ledger import Block, Chain, build_block, genesis_block, verify_chain
 from rolechain.scenario import load_scenario
-from rolechain.store import save_genesis
+from rolechain.store import Store, save_genesis
 from rolechain.wallet import load_wallet, save_wallet
 
-from conftest import PASSPHRASE
+from conftest import PASSPHRASE, make_chain
 from test_scenario import BASE
 
 
@@ -262,6 +266,65 @@ def test_chain_verify_with_tip_anchor(runner, tmp_path):
     ], env=_env(tmp_path))
     assert r.exit_code == 4
     assert "anchor" in r.output
+
+
+def _verify_stored(runner, tmp_path, genesis_file, blocks) -> dict:
+    """``chain verify`` over *blocks* written through ``Store.append`` (valid CRCs)."""
+    chain_file, genesis_path = tmp_path / "chain.jsonl", tmp_path / "genesis.json"
+    chain_file.unlink(missing_ok=True)
+    store = Store(chain_file)
+    for block in blocks:
+        store.append(block)
+    save_genesis(genesis_file, genesis_path)
+    r = runner.invoke(main, [
+        "--output", "json", "chain", "verify", str(chain_file), "--genesis", str(genesis_path),
+    ], env=_env(tmp_path))
+    assert r.exit_code == (0 if json.loads(r.output)["ok"] else 4), r.output
+    return json.loads(r.output)
+
+
+def test_chain_verify_and_verify_chain_agree_on_every_parseable_byte_mutation(
+    runner, tmp_path, monkeypatch, genesis_file, genesis_state, txf, wallets
+):
+    """Mutate each byte of each stored block once; the file and in-memory verdicts match.
+
+    Hex digits step to the next hex digit, so hashes, keys and signatures
+    still parse; any other byte flips its low bit.
+    """
+    monkeypatch.setattr(os, "fsync", lambda fd: None)  # durability is not under test
+    txs = [txf.register("alice", "acme", "member"), txf.register("bob", "globex", "member")]
+    chain = make_chain(genesis_state, txs, proposer=wallets["v0"].address, per_block=1)
+    hexdigits = b"0123456789abcdef"
+    checked = 0
+    for i, block in enumerate(chain.blocks):
+        raw = codec.canonical_bytes(block.to_dict())
+        for pos, byte in enumerate(raw):
+            new = hexdigits[(hexdigits.index(byte) + 1) % 16] if byte in hexdigits else byte ^ 1
+            try:
+                mutated = Block.from_dict(json.loads(raw[:pos] + bytes([new]) + raw[pos + 1:]))
+                codec.canonical_bytes(mutated.to_dict())
+            except (ValueError, KeyError, TypeError):
+                continue
+            blocks = (*chain.blocks[:i], mutated, *chain.blocks[i + 1:])
+            failure = verify_chain(Chain(blocks=blocks), genesis_state)
+            expected = (True, chain.height) if failure is None else (False, failure.height)
+            result = _verify_stored(runner, tmp_path, genesis_file, blocks)
+            assert (result["ok"], result["height"]) == expected, (i, pos, result)
+            checked += 1
+    assert checked > 500
+
+
+def test_chain_verify_refuses_a_genesis_stamped_with_another_tick(
+    runner, tmp_path, genesis_file, genesis_state, txf, wallets
+):
+    genesis = genesis_block(genesis_state)
+    genesis = dataclasses.replace(genesis, header=dataclasses.replace(genesis.header, timestamp=5))
+    block = build_block(
+        genesis.header, [txf.register("carol", "acme", "member")],
+        genesis_state, wallets["v0"].address, tick=6,
+    )
+    result = _verify_stored(runner, tmp_path, genesis_file, (genesis, block))
+    assert (result["ok"], result["height"]) == (False, 0)
 
 
 def test_cli_config_file_supplies_defaults(runner, tmp_path, node_server, wallets):

@@ -134,6 +134,26 @@ def test_replay_from_disk_matches_incremental_build(tmp_path, chain10, genesis_s
     assert state_root(replay(genesis_state, loaded)) == chain10.tip.header.state_root
 
 
+def test_cold_start_hashes_each_header_and_tx_list_once(tmp_path, chain10, genesis_state,
+                                                        monkeypatch):
+    """Load checks storage only; the audit in replay checks each link and tx root once."""
+    from rolechain import ledger
+
+    calls = {"tx_root": 0, "hash_header": 0}
+    for name in calls:
+        original = getattr(ledger, name)
+
+        def counting(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(ledger, name, counting)
+    store = _write(tmp_path, chain10)
+    ledger.replay(genesis_state, load_chain(store))
+    assert len(chain10) == 11
+    assert calls["tx_root"] <= 11 and calls["hash_header"] <= 11, calls
+
+
 def test_genesis_file_round_trip(tmp_path, genesis_file):
     path = tmp_path / "genesis.json"
     save_genesis(genesis_file, path)
@@ -176,7 +196,8 @@ def test_each_durable_change_is_fsynced(tmp_path, chain10, wallets, monkeypatch,
     monkeypatch.setattr(os, "fsync", recording)
     if case == "store created":
         store = open_store(tmp_path / "data" / "chain.jsonl")
-        assert (True, os.stat(tmp_path / "data").st_ino) in synced
+        assert (True, os.stat(tmp_path / "data").st_ino) in synced  # the file's entry
+        assert (True, os.stat(tmp_path).st_ino) in synced  # the new data dir's entry
     elif case == "wallet saved":
         save_wallet(wallets["alice"], tmp_path / "alice.json")
         # The temp file first, then the directory holding the renamed entry.
