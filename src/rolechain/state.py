@@ -7,11 +7,16 @@ the genesis state reconstructs the exact same value on every node, which is
 what the per-block ``state_root`` digests pin down.
 
 ``state_root`` hashes the canonical JSON of ``WorldState.to_dict()`` without
-building it: every user record, nonce entry, ``ura`` tuple and ``pra`` tuple
-is encoded once into its canonical text (a *fragment*), and a root joins the
-fragments in sorted key order. This relies on two invariants. Records are
-immutable, and a fragment is a pure function of its key and value, so it is
-reused only for the very object it was encoded from.
+building it. Each relation (``nonces``, ``orgs``, ``pra``, ``ura``,
+``users``) is a container that records every write in its change log: the
+key and its new value, or that it is gone. A root keeps, per relation, the
+sorted keys and the canonical text of each entry, and splices the logged
+entries into the sections its parent left, so only what changed is encoded
+and no key is scanned. A state built from plain containers (genesis,
+``from_dict``, the constructor) starts with every entry logged, so its first
+root runs the same path. This relies on three invariants: records are
+immutable, every write to a relation goes through its log (a bulk mutator
+raises instead), and a text is a pure function of its key and value.
 
 Two relations carry the access-control model:
 
@@ -22,9 +27,8 @@ Two relations carry the access-control model:
 from __future__ import annotations
 
 import hashlib
+from bisect import bisect_left
 from dataclasses import dataclass, field
-from itertools import compress, repeat
-from operator import is_
 from typing import TYPE_CHECKING, Any
 
 from . import codec
@@ -153,7 +157,65 @@ class Event(codec.Record):
         return cls.make(d["kind"], attrs, d["height"], d["tx_index"])
 
 
-_NO_SECTION: tuple[list, list, list] = ([], [], [])
+_ABSENT = object()
+
+
+class _LoggedDict(dict):
+    """A dict that records each written key, with its new value, in ``log``."""
+
+    __slots__ = ("log",)
+
+    def __init__(self, items, log: dict):
+        super().__init__(items)
+        self.log = log
+
+    def __setitem__(self, key, value):
+        dict.__setitem__(self, key, value)
+        self.log[key] = value
+
+    def __delitem__(self, key):
+        dict.__delitem__(self, key)
+        self.log[key] = _ABSENT
+
+    def _unlogged(self, *args, **kwargs):
+        raise TypeError("a state relation is written one entry at a time")
+
+    clear = pop = popitem = setdefault = update = __ior__ = _unlogged
+
+
+class _LoggedSet(set):
+    """A set that records each added or removed member in ``log``.
+
+    The log maps a member to the object now held, or to ``_ABSENT``.
+    """
+
+    __slots__ = ("log",)
+
+    def __init__(self, items, log: dict):
+        super().__init__(items)
+        self.log = log
+
+    def add(self, member):
+        if member not in self:
+            set.add(self, member)
+            self.log[member] = member
+
+    def discard(self, member):
+        if member in self:
+            self.remove(member)
+
+    def remove(self, member):
+        set.remove(self, member)
+        self.log[member] = _ABSENT
+
+    _unlogged = _LoggedDict._unlogged
+    clear = pop = update = difference_update = intersection_update = _unlogged
+    symmetric_difference_update = __ior__ = __iand__ = __isub__ = __ixor__ = _unlogged
+
+
+# The relations in the key order of to_dict(), which is the preimage's order.
+_RELATIONS = ("nonces", "orgs", "pra", "ura", "users")
+_SETS = ("pra", "ura")
 
 
 @dataclass
@@ -166,21 +228,29 @@ class WorldState:
     pra: set[tuple[str, str, Permission]] = field(default_factory=set)
     nonces: dict[str, int] = field(default_factory=dict)
 
-    # What the last state_root over this state or an ancestor left: its
-    # sections (nonces, pra, ura, users), the orgs text and the root. Not a
-    # field, so never compared; replaced, never mutated, so clones share it.
-    _fragments = ((_NO_SECTION,) * 4, None, None)
+    # What the last state_root over this state or an ancestor left: one
+    # (sorted keys, texts) section per relation, and the root. Not a field,
+    # so never compared; replaced, never mutated, so clones share it.
+    _fragments = ((([], []),) * len(_RELATIONS), None)
+
+    def __setattr__(self, name, value):
+        # A relation assigned whole becomes a logged container with every
+        # entry logged, so its first root encodes it through the one path.
+        if name in _SETS:
+            value = _LoggedSet(value, dict(zip(value, value)))
+        elif name in _RELATIONS:
+            value = _LoggedDict(value, dict(value))
+        object.__setattr__(self, name, value)
 
     def clone(self) -> "WorldState":
-        # Records are immutable, so container-level copies are enough.
-        new = WorldState(
-            users=dict(self.users),
-            orgs=dict(self.orgs),
-            ura=set(self.ura),
-            pra=set(self.pra),
-            nonces=dict(self.nonces),
-        )
+        # Records are immutable, so container-level copies are enough. The
+        # logs are read before _fragments, as state_root requires.
+        logs = [dict(getattr(self, name).log) for name in _RELATIONS]
+        new = object.__new__(WorldState)
         new._fragments = self._fragments
+        for name, log in zip(_RELATIONS, logs):
+            old = getattr(self, name)
+            object.__setattr__(new, name, type(old)(old, log))
         return new
 
     def to_dict(self) -> dict:
@@ -203,16 +273,13 @@ class WorldState:
         )
 
 
-_ABSENT = object()
-
-
 def _entry_text(key: Any, value: Any) -> bytes:
     """Canonical bytes of the object entry ``"key":value``."""
     return codec.canonical_bytes({key: value})[1:-1]
 
 
-def _user_text(addr: str, record: UserRecord) -> bytes:
-    return _entry_text(addr, record.to_dict())
+def _record_text(key: str, record: codec.Record) -> bytes:
+    return _entry_text(key, record.to_dict())
 
 
 def _ura_text(_key, triple: tuple[str, str, str]) -> bytes:
@@ -228,61 +295,80 @@ def _pra_order(triple: tuple[str, str, Permission]) -> tuple[str, str, str, str]
     return (triple[0], triple[1], triple[2].resource, triple[2].action)
 
 
-def _section(old: tuple[list, list, list], live: dict, encode, order=None):
-    """The fragments of *live* (key -> encoded object) as (keys, objects, texts) in key order.
+# Per relation: its entry encoder and its sort key (None: the key itself).
+_CODERS = (
+    (_entry_text, None),
+    (_record_text, None),
+    (_pra_text, _pra_order),
+    (_ura_text, None),
+    (_record_text, None),
+)
+_HEADS = (b'{"nonces":{', b'},"orgs":{', b'},"pra":[', b'],"ura":[', b'],"users":{')
 
-    *old* is the section an earlier root made and is not mutated. Its text
-    for a key is reused only when *live* still maps that key to the very
-    same object, so only changed and new entries are encoded, and the order
-    of the kept keys carries over. Except the scan for texts to encode, the
-    passes over all keys run in C.
+
+def _splice(section: tuple[list, list], changes: dict, encode, order) -> tuple[list, list]:
+    """*section* (sorted keys, texts) with *changes* (key -> value or ``_ABSENT``) applied.
+
+    *section* is not mutated. Each changed key is bisected into the kept
+    keys, the runs between are copied as slices, and only changed entries
+    are encoded, so a root costs O(change · log n) Python steps plus C-level
+    copies.
     """
-    keys, objs, texts = old
-    same = list(map(is_, objs, map(live.get, keys, repeat(_ABSENT))))
-    if len(keys) == len(live) and all(same):
-        return old
-    reusable = dict(compress(zip(keys, texts), same))
-    added = live.keys() - set(keys)
-    keys = list(filter(live.__contains__, keys))
-    keys += added
-    keys.sort(key=order)  # the kept keys are one sorted run already
-    objs = list(map(live.__getitem__, keys))
-    texts = list(map(reusable.get, keys))
-    for i in [i for i, text in enumerate(texts) if text is None]:
-        texts[i] = encode(keys[i], objs[i])
-    return keys, objs, texts
+    keys, texts = section
+    if order is not None:
+        changes = {order(k): v for k, v in changes.items()}
+    new_keys: list = []
+    new_texts: list = []
+    lo = 0
+    for key in sorted(changes):
+        value = changes[key]
+        i = bisect_left(keys, key, lo)
+        if i > lo:
+            new_keys += keys[lo:i]
+            new_texts += texts[lo:i]
+        lo = i + (i < len(keys) and keys[i] == key)
+        if value is not _ABSENT:
+            new_keys.append(key)
+            new_texts.append(encode(key, value))
+    new_keys += keys[lo:]
+    new_texts += texts[lo:]
+    return new_keys, new_texts
 
 
 def state_root(state: WorldState) -> str:
     """SHA-256 over the canonical serialization of the whole state.
 
-    The preimage is ``codec.canonical_bytes(state.to_dict())``, assembled from
-    cached fragments (see the module docstring); orgs are few and are encoded
-    whole. A state whose sections and orgs are unchanged since its last root
-    returns that root. Two threads rooting one state at once are safe: each
-    builds its own sections and the last assignment wins.
+    The preimage is ``codec.canonical_bytes(state.to_dict())``, assembled
+    from the sections the last root left, with the entries logged since
+    spliced in (see the module docstring). A state with empty logs returns
+    its last root.
+
+    Two threads may root one state at once, and a third may clone it
+    meanwhile. Ordering invariant: a root (and a clone) reads the logs
+    before ``_fragments``, and a root publishes ``_fragments`` before it
+    clears the logs. So a reader that finds a log cleared also finds the
+    sections that already hold its changes, and a reader that finds a log
+    uncleared applies it again, which is idempotent.
     """
-    old, old_orgs, old_root = state._fragments
-    # In the key order of to_dict(): nonces, (orgs), pra, ura, users. A set
-    # maps each member to itself, so its members are checked by identity too.
-    sections = (
-        _section(old[0], state.nonces, _entry_text),
-        _section(old[1], dict(zip(state.pra, state.pra)), _pra_text, _pra_order),
-        _section(old[2], dict(zip(state.ura, state.ura)), _ura_text),
-        _section(old[3], state.users, _user_text),
+    relations = [getattr(state, name) for name in _RELATIONS]
+    logs = [dict(relation.log) for relation in relations]
+    sections, root = state._fragments
+    if root is not None and not any(logs):
+        return root
+    sections = tuple(
+        _splice(section, log, *coder) if log else section
+        for section, log, coder in zip(sections, logs, _CODERS)
     )
-    orgs = codec.canonical_bytes({o: rec.to_dict() for o, rec in sorted(state.orgs.items())})
-    if orgs == old_orgs and all(map(is_, sections, old)):
-        return old_root
     # Feed the preimage section by section, so no copy of the whole is made.
-    heads = (b'{"nonces":{', b'},"orgs":' + orgs + b',"pra":[', b'],"ura":[', b'],"users":{')
     digest = hashlib.sha256()
-    for head, (_, _, texts) in zip(heads, sections):
+    for head, (_, texts) in zip(_HEADS, sections):
         digest.update(head)
         digest.update(b",".join(texts))
     digest.update(b"}}")
     root = digest.hexdigest()
-    state._fragments = (sections, orgs, root)
+    state._fragments = (sections, root)
+    for relation in relations:
+        relation.log.clear()
     return root
 
 

@@ -1,20 +1,24 @@
 """The state root against a hand-written serializer of the whole state.
 
-``state_root`` assembles its preimage from cached per-entry fragments. These
-tests hold it to ``sha256`` of ``oracles.reference_state_bytes``, which
-shares no code with the codec, across random transaction sequences applied
-to sibling replicas, on one pinned state, and on states holding floats.
+``state_root`` splices the entries each relation logged since the last root
+into that root's sections. These tests hold it to ``sha256`` of
+``oracles.reference_state_bytes``, which shares no code with the codec,
+across random transaction sequences applied to sibling replicas, random
+container writes over a tree of clones, concurrent roots and clones, on one
+pinned state, and on states holding floats.
 """
 
 import dataclasses
 import hashlib
 import random
+import sys
+import threading
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rolechain import keys
+from rolechain import codec, keys
 from rolechain.errors import TransactionError
 from rolechain.payloads import (
     GrantPermissionPayload,
@@ -41,6 +45,7 @@ _GENESIS_FILE = make_genesis_file(_WALLETS)
 USERS = ["alice", "bob", "carol", "dave"]
 ADMINS = {"acme": "admin_acme", "globex": "admin_globex"}
 ORGS = ["acme", "globex"]
+RELATIONS = ("nonces", "orgs", "pra", "ura", "users")  # the preimage's key order
 CATALOG = {org.org_id: sorted(org.role_catalog) for org in _GENESIS_FILE.orgs}
 PERMS = [Permission("ledger", "read"), Permission("ledger", "write"), Permission("api", "exec")]
 
@@ -50,17 +55,25 @@ def _reference_root(state: WorldState) -> str:
 
 
 def _assert_sections_live(state: WorldState) -> None:
-    """After a root, the cached fragments cover exactly the live entries."""
-    sections, _, _ = state._fragments
-    lives = (
-        state.nonces,
-        {t: t for t in state.pra},
-        {t: t for t in state.ura},
-        state.users,
+    """After a root, the logs are empty and each section is its relation, freshly encoded.
+
+    A section holds the sorted keys of its relation and, per key, the
+    canonical text of that entry as the codec writes it today.
+    """
+    live = state.to_dict()
+    expected = {
+        name: (list(live[name]), [codec.canonical_bytes({k: v})[1:-1] for k, v in live[name].items()])
+        for name in ("nonces", "orgs", "users")
+    }
+    expected["pra"] = (
+        sorted((o, r, p.resource, p.action) for o, r, p in state.pra),
+        [codec.canonical_bytes(entry) for entry in live["pra"]],
     )
-    for (keys_, objs, texts), live in zip(sections, lives):
-        assert len(keys_) == len(objs) == len(texts) == len(live)
-        assert all(live[k] is o for k, o in zip(keys_, objs))
+    expected["ura"] = (sorted(state.ura), [codec.canonical_bytes(entry) for entry in live["ura"]])
+    sections, _ = state._fragments
+    for name, (keys_, texts) in zip(RELATIONS, sections):
+        assert not getattr(state, name).log
+        assert (keys_, texts) == expected[name]
 
 
 def _assert_root(state: WorldState) -> None:
@@ -191,6 +204,22 @@ def test_state_root_follows_a_changed_org():
     assert state_root(state) == _reference_root(state) != first
 
 
+def test_a_root_encodes_only_the_entries_written_since_the_last(monkeypatch):
+    state = _seeded_state(20, seed=15)
+    state_root(state)
+    addr = sorted(state.users)[0]
+    state.nonces[addr] += 1
+    state.ura.add((addr, "globex", "analyst"))
+    encoded = []
+    encode = codec.canonical_bytes
+    monkeypatch.setattr(codec, "canonical_bytes", lambda obj: encoded.append(obj) or encode(obj))
+    assert state_root(state) == _reference_root(state)
+    # One nonce entry and one ura triple; no org, user or pra entry.
+    assert encoded == [{addr: state.nonces[addr]}, [addr, "globex", "analyst"]]
+    encoded.clear()
+    assert state_root(state.clone()) == _reference_root(state) and encoded == []
+
+
 def _float_max_holders(state: WorldState) -> WorldState:
     d = state.to_dict()
     d["orgs"]["acme"]["role_catalog"]["contractor"]["max_holders"] = 2.0
@@ -233,3 +262,204 @@ def test_equal_value_of_another_type_is_encoded_afresh():
     state_root(state)
     state.nonces[addr] = True  # equal to 1, but canonical JSON spells it "true"
     assert state_root(state) == _reference_root(state)
+
+
+# Random programs over a tree of clones. Each write goes through a container
+# mutator; each root is held to the reference. The pools mix entries the
+# seeded state holds with new ones, and equal values of another type (1 and
+# True, (1, 0) and (True, 0)) are encoded differently, so a write of one
+# over the other must reach the root.
+_SEEDED = _seeded_state(3, seed=12)
+_ADDRS = sorted(_SEEDED.users)[:2] + ["aa" * 20, "bb" * 20]
+_KEYS = {"nonces": _ADDRS, "users": _ADDRS, "orgs": ["acme", "globex", "initech"]}
+_VALUES = {
+    "nonces": [0, 1, True, 2, False],
+    "users": [
+        UserRecord("aa" * 20, "11" * 32, "22" * 32, at) for at in ((1, 0), (True, 0), (2, 3))
+    ],
+    "orgs": [
+        _SEEDED.orgs["acme"],
+        _SEEDED.orgs["globex"],
+        dataclasses.replace(_SEEDED.orgs["acme"], admins=frozenset({"ab" * 20})),
+    ],
+}
+_MEMBERS = {
+    "ura": sorted(_SEEDED.ura)[:2] + [(a, "globex", "analyst") for a in _ADDRS[1:3]],
+    "pra": sorted(_SEEDED.pra, key=str)[:2] + [("acme", "member", p) for p in PERMS[:2]],
+}
+# The mutators that log, per kind of relation; every other one must raise.
+_LOGGED = {dict: ("set", "del", "del+set"), set: ("add", "discard", "remove", "discard+add")}
+
+
+def _refused_calls(container, key, value):
+    if isinstance(container, set):
+        return {
+            "clear": (), "pop": (), "update": ({key},), "difference_update": ({key},),
+            "intersection_update": (set(),), "symmetric_difference_update": ({key},),
+            "__ior__": ({key},), "__iand__": (set(),), "__isub__": ({key},), "__ixor__": ({key},),
+        }
+    return {
+        "clear": (), "pop": (key,), "popitem": (), "setdefault": (key, value),
+        "update": ({key: value},), "__ior__": ({key: value},),
+    }
+
+
+def _write(state: WorldState, relation: str, mutator: int, pick: int, refused: int) -> None:
+    """Apply one mutator to *relation*: a logged one, or one that must raise and change nothing."""
+    container = getattr(state, relation)
+    plain = set if isinstance(container, set) else dict
+    if plain is set:
+        key = value = _MEMBERS[relation][pick % len(_MEMBERS[relation])]
+    else:
+        key = _KEYS[relation][pick % len(_KEYS[relation])]
+        value = _VALUES[relation][pick // 4 % len(_VALUES[relation])]
+    if mutator < len(_LOGGED[plain]):
+        for op in _LOGGED[plain][mutator].split("+"):
+            if op == "set":
+                container[key] = value
+            elif op in ("del", "remove") and key not in container:
+                pass  # each raises KeyError on a missing key
+            elif op == "del":
+                del container[key]
+            else:
+                getattr(container, op)(key)
+        return
+    calls = _refused_calls(container, key, value)
+    name = sorted(calls)[refused % len(calls)]
+    before, log = plain(container), dict(container.log)
+    with pytest.raises(TypeError):
+        getattr(container, name)(*calls[name])
+    assert container == before and container.log == log
+
+
+_programs = st.lists(
+    st.one_of(
+        st.tuples(st.just("clone"), st.integers(0, 7)),
+        st.tuples(st.just("root"), st.integers(0, 7)),
+        st.tuples(
+            st.just("write"), st.integers(0, 7), st.sampled_from(RELATIONS),
+            st.integers(0, 5), st.integers(0, 19), st.integers(0, 9),
+        ),
+    ),
+    min_size=1,
+    max_size=40,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_programs)
+def test_state_root_follows_every_mutator_across_a_tree_of_clones(program):
+    seeded = _seeded_state(3, seed=12)
+    # One tree grows from a state built by writes, one from a decoded copy.
+    nodes = [seeded, WorldState.from_dict(_SEEDED.to_dict())]
+    for kind, at, *write in program:
+        node = nodes[at % len(nodes)]
+        if kind == "clone":
+            nodes.append(node.clone())
+        elif kind == "root":
+            _assert_root(node)
+        else:
+            _write(node, *write)
+    for node in nodes:
+        _assert_root(node)
+
+
+def test_concurrent_roots_and_a_clone_of_one_fresh_state_agree():
+    """Two threads root one freshly written state while the main thread clones and roots it."""
+    base = _seeded_state(100, seed=13)
+    state_root(base)
+    addrs = sorted(base.users)
+    rounds = 300
+    states, expected = [], []
+    for i in range(rounds):
+        state = base.clone()
+        state.nonces[addrs[i % len(addrs)]] = 1000 + i
+        state.ura.add((addrs[(i * 7) % len(addrs)], "globex", "analyst"))
+        states.append(state)
+        expected.append(_reference_root(state))
+    barrier = threading.Barrier(3, timeout=60)
+    results = [[None] * rounds for _ in range(3)]
+    errors = []
+
+    def rooter(column):
+        try:
+            for i, state in enumerate(states):
+                barrier.wait()
+                results[column][i] = state_root(state)
+        except Exception as exc:  # noqa: BLE001 - surfaced by the assertion below
+            errors.append(exc)
+            barrier.abort()
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often, so the roots interleave
+    workers = [threading.Thread(target=rooter, args=(c,)) for c in (0, 1)]
+    try:
+        for worker in workers:
+            worker.start()
+        for i, state in enumerate(states):
+            barrier.wait()
+            results[2][i] = state_root(state.clone())
+    except BaseException:
+        barrier.abort()  # release the workers; after the last round it would break their wake-up
+        raise
+    finally:
+        for worker in workers:
+            worker.join(timeout=60)
+        sys.setswitchinterval(switch)
+    assert not any(worker.is_alive() for worker in workers)
+    assert not errors
+    assert results == [expected] * 3
+    for state in states[:20]:
+        _assert_sections_live(state)
+
+
+class _ReaderBetweenSteps(dict):
+    """A relation's log that runs *reader* once, in the middle of a root or a clone.
+
+    With ``at="read"`` it runs when the log is first copied, so after the
+    reading root or clone has taken its earlier steps; with ``at="clear"``
+    it runs once the log is cleared, before the root's remaining steps.
+    """
+
+    def __init__(self, log, reader, at):
+        super().__init__(log)
+        self.reader, self.at = reader, at
+
+    def __iter__(self):  # a dict subclass with its own __iter__ is copied through keys()
+        return super().__iter__()
+
+    def keys(self):
+        if self.at == "read":
+            self._run()
+        return super().keys()
+
+    def clear(self):
+        super().clear()
+        if self.at == "clear":
+            self._run()
+
+    def _run(self):
+        reader, self.reader = self.reader, None
+        if reader is not None:
+            reader()
+
+
+@pytest.mark.parametrize("first, at", [("root", "read"), ("root", "clear"), ("clone", "read")])
+def test_a_root_and_a_clone_between_two_steps_of_another_agree(first, at):
+    """The ordering invariant of state_root, at the two points a thread switch could break it."""
+    state = _seeded_state(20, seed=14)
+    state_root(state)
+    state = state.clone()
+    addr = sorted(state.users)[0]
+    state.nonces[addr] += 1
+    state.ura.add((addr, "globex", "analyst"))
+    expected = _reference_root(state)
+    seen = []
+
+    def reader():
+        seen.append(state_root(state))
+        seen.append(state_root(state.clone()))
+
+    state.nonces.log = _ReaderBetweenSteps(state.nonces.log, reader, at)
+    seen.append(state_root(state if first == "root" else state.clone()))
+    assert seen == [expected] * 3
