@@ -78,9 +78,9 @@ class ServiceConfig:
         import os
 
         env = os.environ if env is None else env
-        data = {}
-        if path:
-            data = json.loads(Path(path).read_text("utf-8"))
+        data = json.loads(Path(path).read_text("utf-8")) if path else {}
+        if not isinstance(data, dict):
+            raise ValueError(f"service config {path} is not a JSON object")
         cfg = cls(**{k: v for k, v in data.items() if k in cls.__dataclass_fields__})
         for field_name, env_key in cls.ENV_KEYS.items():
             if env.get(env_key):
@@ -201,7 +201,7 @@ class _Handler(BaseHTTPRequestHandler):
                 doc = json.loads(raw)
                 codec.canonical_bytes(doc)  # UnicodeEncodeError on a lone surrogate
                 tx = SignedTransaction.from_dict(doc)
-            except (ValueError, KeyError, TypeError) as exc:
+            except (ValueError, TypeError) as exc:  # TypeError: a float
                 return self._error(400, "Malformed", f"body is not a transaction: {exc}")
             try:
                 result = self.handle_ref.submit(tx)

@@ -1,9 +1,11 @@
 """Command-line client: wallet management, the full user/permission lifecycle
 against a node's HTTP API, offline chain verification, and scenario driving.
 
-Exit codes: 0 success, 2 usage error, 3 API/node error, 4 verification
-failure. Passphrases come from ROLECHAIN_PASSPHRASE or an interactive
-prompt, never from argv.
+Exit codes: 0 success, 2 usage error, 3 any other error (a node error, an
+input file that does not decode, a wrong passphrase), 4 verification
+failure. The ``main`` group turns every failure into its exit code.
+Passphrases come from ROLECHAIN_PASSPHRASE or an interactive prompt, never
+from argv.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from pathlib import Path
 import click
 import requests
 
-from . import codec
+from . import __version__, codec
 from .errors import CorruptStore, RoleChainError
 from .payloads import (
     GrantPermissionPayload,
@@ -37,12 +39,15 @@ DEFAULT_CONFIG_PATH = "~/.rolechain.json"
 def _load_cli_config(path: str | None) -> dict:
     candidate = path or os.environ.get("ROLECHAIN_CONFIG") or DEFAULT_CONFIG_PATH
     p = Path(candidate).expanduser()
-    if p.exists():
-        try:
-            return json.loads(p.read_text("utf-8"))
-        except ValueError as exc:
-            raise click.UsageError(f"config file {p} is not valid JSON: {exc}")
-    return {}
+    if not p.exists():
+        return {}
+    try:
+        config = json.loads(p.read_text("utf-8"))
+    except ValueError as exc:
+        raise click.UsageError(f"config file {p} is not valid JSON: {exc}")
+    if not isinstance(config, dict):
+        raise click.UsageError(f"config file {p} is not a JSON object")
+    return config
 
 
 class Ctx:
@@ -59,29 +64,13 @@ class Ctx:
 
     # --- node API ----------------------------------------------------------
 
-    def get(self, path: str, params: dict | None = None) -> dict:
+    def _request(self, method: str, path: str, **kwargs) -> dict:
+        """The node's JSON answer; an unreachable node or an error reply exits 3."""
         try:
-            resp = requests.get(self.node_url + path, params=params, timeout=30)
+            resp = requests.request(method, self.node_url + path, timeout=60, **kwargs)
         except requests.RequestException as exc:
             click.echo(f"error: cannot reach node at {self.node_url}: {exc}", err=True)
             sys.exit(EXIT_API_ERROR)
-        return self._unwrap(resp)
-
-    def post(self, path: str, body: dict) -> dict:
-        try:
-            resp = requests.post(
-                self.node_url + path,
-                data=codec.canonical_dumps(body),
-                headers={"Content-Type": "application/json"},
-                timeout=60,
-            )
-        except requests.RequestException as exc:
-            click.echo(f"error: cannot reach node at {self.node_url}: {exc}", err=True)
-            sys.exit(EXIT_API_ERROR)
-        return self._unwrap(resp)
-
-    @staticmethod
-    def _unwrap(resp: requests.Response) -> dict:
         try:
             body = resp.json()
         except ValueError:
@@ -95,11 +84,15 @@ class Ctx:
         """Sign *payload* with the wallet, post it, and print the node's answer."""
         wallet = self._wallet()
         if nonce is None:
-            account = self.get(f"/v1/accounts/{wallet.address}")
-            nonce = account["next_nonce"]
+            nonce = self._request("GET", f"/v1/accounts/{wallet.address}")["next_nonce"]
         tx = sign_transaction(wallet, _passphrase(), wallet.address, nonce, payload)
-        result = self.post("/v1/transactions", tx.to_dict())
-        self.emit(result, _tx_human(result))
+        result = self._request(
+            "POST", "/v1/transactions",
+            data=codec.canonical_dumps(tx.to_dict()), headers={"Content-Type": "application/json"},
+        )
+        committed = result.get("committed_height")
+        where = f"committed at height {committed}" if committed is not None else "pending"
+        self.emit(result, f"accepted tx {result['tx_id'][:16]}… ({where})")
 
     def _wallet(self):
         p = Path(self.wallet_path).expanduser()
@@ -118,17 +111,32 @@ def _passphrase(confirm: bool = False) -> str:
 pass_ctx = click.make_pass_decorator(Ctx)
 
 
-@click.group()
+class _Main(click.Group):
+    """The one place a failure becomes its exit code; click keeps usage errors (2)."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except BrokenPipeError:  # stdout closed early (`| head`): click's own exit
+            raise
+        except RoleChainError as exc:
+            message = f"error [{exc.code}]: {exc}"
+        except (OSError, ValueError) as exc:
+            message = f"error: {exc}"
+        click.echo(message, err=True)
+        sys.exit(EXIT_API_ERROR)
+
+
+@click.group(cls=_Main)
 @click.option("--node", metavar="URL", help="Node API base URL.")
 @click.option("--wallet", "wallet_path", metavar="PATH", help="Wallet file path.")
 @click.option("--output", type=click.Choice(["human", "json"]), default=None)
 @click.option("--config", "config_path", metavar="PATH", help="CLI config file (JSON).")
-@click.version_option()
+@click.version_option(__version__)
 @click.pass_context
 def main(ctx, node, wallet_path, output, config_path):
     """Decentralized role and permission management."""
-    config = _load_cli_config(config_path)
-    ctx.obj = Ctx(config, node, wallet_path, output)
+    ctx.obj = Ctx(_load_cli_config(config_path), node, wallet_path, output)
 
 
 # --- wallet ------------------------------------------------------------------
@@ -148,14 +156,13 @@ def wallet_create(ctx: Ctx, seed_hex, path_, force):
     target = Path(path_ or ctx.wallet_path).expanduser()
     if target.exists() and not force:
         raise click.UsageError(f"{target} already exists (use --force to overwrite)")
-    seed = bytes.fromhex(seed_hex) if seed_hex else os.urandom(32)
+    try:
+        seed = bytes.fromhex(seed_hex) if seed_hex else os.urandom(32)
+    except ValueError as exc:
+        raise click.UsageError(f"--seed-hex is not hex: {exc}")
     if len(seed) != 32:
         raise click.UsageError("--seed-hex must encode exactly 32 bytes")
-    try:
-        w = create_wallet(seed, _passphrase(confirm=True))
-    except RoleChainError as exc:
-        click.echo(f"error [{exc.code}]: {exc}", err=True)
-        sys.exit(EXIT_API_ERROR)
+    w = create_wallet(seed, _passphrase(confirm=True))
     save_wallet(w, target)
     ctx.emit(
         {"address": w.address, "public_key": w.public_key, "path": str(target)},
@@ -234,26 +241,20 @@ def _perm_options(fn):
     return fn
 
 
-@perm.command("grant")
-@_perm_options
-@click.option("--role", required=True)
-@click.option("--nonce", type=int, default=None)
-@pass_ctx
-def perm_grant(ctx: Ctx, org, role, resource, action, nonce):
-    """Grant (resource, action) to a role; admin-signed."""
-    payload = GrantPermissionPayload(org=org, role=role, permission=Permission(resource, action))
-    ctx.submit(payload, nonce)
+def _perm_edit(name: str, edit, doc: str):
+    """The ``perm`` command *name*, which submits one *edit* payload."""
+
+    @perm.command(name, help=doc)
+    @_perm_options
+    @click.option("--role", required=True)
+    @click.option("--nonce", type=int, default=None)
+    @pass_ctx
+    def command(ctx: Ctx, org, role, resource, action, nonce):
+        ctx.submit(edit(org=org, role=role, permission=Permission(resource, action)), nonce)
 
 
-@perm.command("revoke")
-@_perm_options
-@click.option("--role", required=True)
-@click.option("--nonce", type=int, default=None)
-@pass_ctx
-def perm_revoke(ctx: Ctx, org, role, resource, action, nonce):
-    """Revoke (resource, action) from a role; admin-signed."""
-    payload = RevokePermissionPayload(org=org, role=role, permission=Permission(resource, action))
-    ctx.submit(payload, nonce)
+_perm_edit("grant", GrantPermissionPayload, "Grant (resource, action) to a role; admin-signed.")
+_perm_edit("revoke", RevokePermissionPayload, "Revoke (resource, action) from a role; admin-signed.")
 
 
 @perm.command("check")
@@ -262,9 +263,9 @@ def perm_revoke(ctx: Ctx, org, role, resource, action, nonce):
 @pass_ctx
 def perm_check(ctx: Ctx, user_addr, org, resource, action):
     """Ask the node whether a user currently holds a permission."""
-    result = ctx.get(
-        "/v1/permissions/check",
-        {"user": user_addr, "org": org, "resource": resource, "action": action},
+    result = ctx._request(
+        "GET", "/v1/permissions/check",
+        params={"user": user_addr, "org": org, "resource": resource, "action": action},
     )
     verdict = "granted" if result["granted"] else "denied"
     via = ", ".join(result.get("via_roles", [])) or "-"
@@ -287,19 +288,15 @@ def chain():
 @pass_ctx
 def chain_verify(ctx: Ctx, chain_file, genesis_file, tip_hash):
     """Verify a stored chain end to end; exit 4 on any failure."""
-    from .ledger import verify_chain
+    from .ledger import FailureAt, verify_chain
     from .store import Store, build_genesis_state, load_chain, load_genesis
 
     genesis_state = build_genesis_state(load_genesis(genesis_file))
     try:
         loaded = load_chain(Store(chain_file))
+        failure = verify_chain(loaded, genesis_state, expected_tip_hash=tip_hash)
     except CorruptStore as exc:
-        ctx.emit(
-            {"ok": False, "height": exc.height, "reason": str(exc)},
-            f"FAILED at height {exc.height}: {exc}",
-        )
-        sys.exit(EXIT_VERIFY_FAILED)
-    failure = verify_chain(loaded, genesis_state, expected_tip_hash=tip_hash)
+        failure = FailureAt(exc.height, str(exc))
     if failure is not None:
         ctx.emit(
             {"ok": False, "height": failure.height, "reason": failure.reason},
@@ -331,7 +328,7 @@ def events(ctx: Ctx, mode, kind, org, from_height, follow, interval):
         params["org"] = org
     seen = 0
     while True:
-        body = ctx.get("/v1/events", params)
+        body = ctx._request("GET", "/v1/events", params=params)
         for event in body["events"][seen:]:
             if ctx.output == "json":
                 click.echo(json.dumps(event, sort_keys=True))
@@ -402,11 +399,7 @@ def node_serve(ctx: Ctx, config_path):
     """Serve one validator's HTTP API, simulating its network in-process."""
     from .api import ServiceConfig, build_node_service
 
-    try:
-        server = build_node_service(ServiceConfig.load(config_path))
-    except (OSError, ValueError, RoleChainError) as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_API_ERROR)
+    server = build_node_service(ServiceConfig.load(config_path))
     click.echo(f"serving {server.handle.node_id} on {server.url}")
     try:
         server.start()
@@ -414,12 +407,6 @@ def node_serve(ctx: Ctx, config_path):
             time.sleep(3600)
     except KeyboardInterrupt:
         server.stop()
-
-
-def _tx_human(result: dict) -> str:
-    committed = result.get("committed_height")
-    where = f"committed at height {committed}" if committed is not None else "pending"
-    return f"accepted tx {result['tx_id'][:16]}… ({where})"
 
 
 if __name__ == "__main__":

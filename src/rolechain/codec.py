@@ -113,6 +113,8 @@ class Record:
 
     Each field is written through :func:`to_wire` and read back as is,
     except that a field named in ``decoders`` is rebuilt (and checked) by it.
+    A document that is not the record (a missing field, a wrong shape) raises
+    ``ValueError``; a decoder's or ``__post_init__``'s own passes unchanged.
     """
 
     decoders: ClassVar[dict[str, Callable[[Any], Any]]] = {}
@@ -123,10 +125,13 @@ class Record:
     @classmethod
     def from_dict(cls, d: dict):
         decoders = cls.decoders
-        return cls(**{
-            name: decoders[name](d[name]) if name in decoders else d[name]
-            for name in _field_names(cls)
-        })
+        try:
+            return cls(**{
+                name: decoders[name](d[name]) if name in decoders else d[name]
+                for name in _field_names(cls)
+            })
+        except (LookupError, TypeError, AttributeError) as exc:
+            raise ValueError(f"not a {cls.__name__}: {exc!r}") from exc
 
 
 _SCALARS = frozenset({str, int, bool, type(None)})

@@ -47,7 +47,7 @@ from dataclasses import dataclass, field
 from . import codec
 from .errors import ChainError, SimTimeout, TransactionError
 from .ledger import (
-    Block, BlockHeader, Chain, append_block, check_link, execute_block, hash_header, new_chain,
+    Block, BlockHeader, Chain, check_link, execute_block, hash_header, new_chain,
     seal_block,
 )
 from .payloads import SignedTransaction
@@ -359,7 +359,10 @@ def _finalize(network: Network, node: ValidatorNode, block: Block, post: WorldSt
             chain, post = peer.chain, peer.state
             break
     else:
-        chain = append_block(node.chain, block)
+        # No check_link here: every block in node.round.proposals passed
+        # _validate_proposal against the current tip, since finalizing
+        # replaces the round, and a synced block is validated just before.
+        chain = Chain(blocks=(*node.chain.blocks, block))
         for tx in block.transactions:
             node.tx_heights.setdefault(tx.tx_id, height)
         network.executed = {k: v for k, v in network.executed.items() if v[0] > height}

@@ -77,7 +77,15 @@ def _actor_wallet(name: str, entry: dict) -> tuple[Wallet, str]:
 
 
 def load_scenario(source: str | Path | dict) -> Scenario:
+    """Parse a scenario; a document that is not a scenario raises ValueError."""
     doc = source if isinstance(source, dict) else json.loads(Path(source).read_text("utf-8"))
+    try:
+        return _parse_scenario(doc)
+    except (LookupError, TypeError, AttributeError) as exc:
+        raise ValueError(f"not a scenario: {exc!r}") from exc
+
+
+def _parse_scenario(doc: dict) -> Scenario:
     name = doc.get("name", "scenario")
     actors: dict[str, Wallet] = {}
     passphrases: dict[str, str] = {}

@@ -114,11 +114,18 @@ class UserRecord(codec.Record):
     decoders = {"registered_at": lambda r: (r[0], r[1])}
 
 
+def _event_attributes(attrs: dict) -> tuple[tuple[str, Any], ...]:
+    attrs = dict(attrs)
+    if isinstance(attrs.get("permission"), dict):
+        attrs["permission"] = Permission.from_dict(attrs["permission"])
+    return tuple(sorted(attrs.items()))
+
+
 @dataclass(frozen=True)
 class Event(codec.Record):
     """One immutable audit record, anchored to its (block height, tx index).
 
-    Its wire form holds its attributes as an object, so its codec is its own.
+    Its wire form holds its attributes as an object, so it writes its own.
     """
 
     kind: str
@@ -126,16 +133,15 @@ class Event(codec.Record):
     height: int
     tx_index: int
 
+    decoders = {"attributes": _event_attributes}
+
+    def __post_init__(self):
+        if self.kind not in EVENT_KINDS:
+            raise ValueError(f"unknown event kind {self.kind!r}")
+
     @classmethod
     def make(cls, kind: str, attributes: dict, height: int, tx_index: int) -> "Event":
-        if kind not in EVENT_KINDS:
-            raise ValueError(f"unknown event kind {kind!r}")
-        return cls(
-            kind=kind,
-            attributes=tuple(sorted(attributes.items())),
-            height=height,
-            tx_index=tx_index,
-        )
+        return cls(kind, tuple(sorted(attributes.items())), height, tx_index)
 
     @property
     def attrs(self) -> dict:
@@ -148,13 +154,6 @@ class Event(codec.Record):
             "kind": self.kind,
             "tx_index": self.tx_index,
         }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "Event":
-        attrs = dict(d["attributes"])
-        if "permission" in attrs and isinstance(attrs["permission"], dict):
-            attrs["permission"] = Permission.from_dict(attrs["permission"])
-        return cls.make(d["kind"], attrs, d["height"], d["tx_index"])
 
 
 _ABSENT = object()
@@ -274,21 +273,13 @@ class WorldState:
 
 
 def _entry_text(key: Any, value: Any) -> bytes:
-    """Canonical bytes of the object entry ``"key":value``."""
-    return codec.canonical_bytes({key: value})[1:-1]
+    """Canonical bytes of the object entry ``"key":value`` of a dict relation."""
+    return codec.canonical_bytes({key: codec.to_wire(value)})[1:-1]
 
 
-def _record_text(key: str, record: codec.Record) -> bytes:
-    return _entry_text(key, record.to_dict())
-
-
-def _ura_text(_key, triple: tuple[str, str, str]) -> bytes:
-    return codec.canonical_bytes(list(triple))
-
-
-def _pra_text(_key, triple: tuple[str, str, Permission]) -> bytes:
-    org, role, permission = triple
-    return codec.canonical_bytes([org, role, permission.to_dict()])
+def _member_text(_key, member: tuple) -> bytes:
+    """Canonical bytes of one member of a set relation."""
+    return codec.canonical_bytes(codec.to_wire(member))
 
 
 def _pra_order(triple: tuple[str, str, Permission]) -> tuple[str, str, str, str]:
@@ -298,10 +289,10 @@ def _pra_order(triple: tuple[str, str, Permission]) -> tuple[str, str, str, str]
 # Per relation: its entry encoder and its sort key (None: the key itself).
 _CODERS = (
     (_entry_text, None),
-    (_record_text, None),
-    (_pra_text, _pra_order),
-    (_ura_text, None),
-    (_record_text, None),
+    (_entry_text, None),
+    (_member_text, _pra_order),
+    (_member_text, None),
+    (_entry_text, None),
 )
 _HEADS = (b'{"nonces":{', b'},"orgs":{', b'},"pra":[', b'],"ura":[', b'],"users":{')
 

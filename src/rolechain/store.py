@@ -138,7 +138,7 @@ def load_chain(store: Store) -> Chain:
             if last and torn_tail:
                 raise ValueError("no trailing newline")
             block = _parse_line(segment.decode("utf-8"))
-        except (ValueError, KeyError, TypeError, UnicodeDecodeError) as exc:
+        except (ValueError, KeyError, TypeError) as exc:
             if last:
                 logger.warning(
                     "truncating torn final line %d of %s (%s)", i, store.path, exc

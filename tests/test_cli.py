@@ -2,8 +2,11 @@ import dataclasses
 import io
 import json
 import os
+import subprocess
+import sys
 import threading
 from http.server import ThreadingHTTPServer
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -365,3 +368,95 @@ def test_json_output_round_trips(runner, tmp_path, node_server, wallets):
     ], env=env)
     doc = json.loads(r.output)
     assert {"accepted", "tx_id", "committed_height", "node_height"} <= set(doc)
+
+
+@pytest.fixture
+def probe_files(tmp_path, genesis_file, genesis_state, wallets):
+    """Inputs that do not decode, next to the valid files they are made from."""
+    files = {}
+
+    def write(name, doc, raw=None):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(doc) if raw is None else raw, "utf-8")
+        files[name] = str(path)
+
+    genesis = genesis_file.to_dict()
+    write("genesis-no-chain-id", {k: v for k, v in genesis.items() if k != "chain_id"})
+    write("genesis-list", [genesis])
+    write("genesis-bad-validator", {**genesis, "validators": ["zz" * 20]})
+    wallet = wallets["v0"].to_dict()
+    write("wallet-no-key", {k: v for k, v in wallet.items() if k != "enc_private_key"})
+    write("wallet-not-json", None, raw="{not json")
+    save_wallet(wallets["v0"], tmp_path / "wallet.json")
+    files["wallet"] = str(tmp_path / "wallet.json")
+    for name in ("genesis-no-chain-id", "genesis-list"):
+        write(f"svc-{name}", {
+            "listen": "127.0.0.1:0", "data_dir": str(tmp_path / "data"),
+            "genesis": files[name], "node_key": files["wallet"],
+        })
+    write("svc-list", [{"listen": "127.0.0.1:0"}])
+    write("scenario-no-validators", {k: v for k, v in BASE.items() if k != "validators"})
+    write("config-list", ["http://127.0.0.1:1"])
+    Store(tmp_path / "chain.jsonl").append(genesis_block(genesis_state))
+    files["chain"] = str(tmp_path / "chain.jsonl")
+    return files
+
+
+# (argv with {file} placeholders, passphrase, exit code, text the error line holds)
+_PROBES = {
+    "verify-genesis-no-chain-id": (
+        "chain verify {chain} --genesis {genesis-no-chain-id}", None, 3, "chain_id"),
+    "verify-genesis-list": (
+        "chain verify {chain} --genesis {genesis-list}", None, 3, "GenesisFile"),
+    "verify-genesis-bad-validator": (
+        "chain verify {chain} --genesis {genesis-bad-validator}", None, 3,
+        "validator address"),
+    "serve-genesis-no-chain-id": (
+        "node serve --config {svc-genesis-no-chain-id}", None, 3, "chain_id"),
+    "serve-genesis-list": ("node serve --config {svc-genesis-list}", None, 3, "GenesisFile"),
+    "serve-config-list": ("node serve --config {svc-list}", None, 3, "not a JSON object"),
+    "show-wallet-no-key": (
+        "wallet show --path {wallet-no-key}", None, 3, "enc_private_key"),
+    "register-wallet-no-key": (
+        "--wallet {wallet-no-key} user register --org acme --role member --nonce 0",
+        None, 3, "enc_private_key"),
+    "show-wallet-not-json": ("wallet show --path {wallet-not-json}", None, 3, "error: "),
+    "register-wrong-passphrase": (
+        "--node http://127.0.0.1:1 --wallet {wallet} user register --org acme "
+        "--role member --nonce 0", "not the passphrase", 3, "error [BadPassphrase]"),
+    "sim-no-validators": ("sim run {scenario-no-validators}", None, 3, "validators"),
+    "config-list": ("--config {config-list} wallet show", None, 2, "not a JSON object"),
+    "seed-hex-not-hex": ("wallet create --seed-hex zz --path {wallet}.new", None, 2, "hex"),
+}
+
+
+@pytest.mark.parametrize("probe", sorted(_PROBES))
+def test_bad_input_exits_with_its_code_and_one_error_line(runner, tmp_path, probe_files, probe):
+    argv, passphrase, code, text = _PROBES[probe]
+    env = _env(tmp_path)
+    if passphrase is not None:
+        env["ROLECHAIN_PASSPHRASE"] = passphrase
+    args = [arg.format_map(probe_files) for arg in argv.split()]
+    r = runner.invoke(main, args, env=env)
+    assert r.exit_code == code, (r.output, r.exception)
+    assert "Traceback" not in r.output
+    # A usage error (exit 2) also prints click's usage banner around its one line.
+    lines = r.stderr.strip().splitlines() if code == 3 else [
+        line for line in r.stderr.splitlines() if line.lower().startswith("error")
+    ]
+    assert len(lines) == 1 and lines[0].lower().startswith("error"), r.stderr
+    assert text in lines[0], r.stderr
+
+
+def test_the_module_entry_point_exits_3_without_a_traceback(probe_files):
+    """A real process, as a user runs it: no traceback reaches the terminal."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [
+        str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH"),
+    ]))}
+    proc = subprocess.run(
+        [sys.executable, "-m", "rolechain.cli", "chain", "verify", probe_files["chain"],
+         "--genesis", probe_files["genesis-no-chain-id"]],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stderr.startswith("error: not a GenesisFile") and "Traceback" not in proc.stderr

@@ -73,6 +73,33 @@ def test_every_record_round_trips_over_the_wire(samples):
     assert {type(r) for r in samples} == set(_concrete_records())
 
 
+@pytest.mark.parametrize("cls", sorted(_concrete_records(), key=lambda c: c.__name__),
+                         ids=lambda c: c.__name__)
+def test_a_document_that_is_not_the_record_raises_value_error(cls, samples):
+    docs = [None, [], {}, "text", 7]
+    valid = next(r.to_dict() for r in samples if type(r) is cls)
+    docs += [{k: v for k, v in valid.items() if k != name} for name in codec._field_names(cls)]
+    for doc in docs:
+        # pytest.raises(ValueError) alone would let a KeyError or TypeError escape
+        # as an error; naming them shows which one did.
+        try:
+            cls.from_dict(doc)
+        except ValueError as exc:
+            assert cls.__name__ in str(exc), (doc, exc)
+        except (KeyError, TypeError, AttributeError, IndexError) as exc:
+            pytest.fail(f"{cls.__name__}.from_dict({doc!r}) raised {exc!r}")
+        else:
+            pytest.fail(f"{cls.__name__}.from_dict({doc!r}) decoded")
+
+
+def test_a_value_error_from_a_decoder_passes_through_unchanged(genesis_file):
+    doc = genesis_file.to_dict()
+    doc["validators"][0] = "zz" * 20
+    with pytest.raises(ValueError) as raised:
+        GenesisFile.from_dict(doc)
+    assert str(raised.value) == "validator address must be 20 bytes of lowercase hex"
+
+
 def test_every_payload_kind_round_trips_through_payload_from_dict(samples):
     payloads = [r.payload for r in samples if hasattr(r, "payload")]
     assert {p.kind for p in payloads} == {

@@ -16,8 +16,11 @@ WRITES = 20
 # Ed25519 verifies per committed write: admission, the gossip broadcast's one
 # parse, and the proposer's selection, whose fold is its block's fold.
 VERIFIES_PER_TX = 3
-ENCODES_PER_TX = 84  # calls to codec.canonical_dumps
+ENCODES_PER_TX = 81  # calls to codec.canonical_dumps
 APPLIES_PER_TX = 1  # calls to state.apply_transaction
+# Block link checks per committed write: one per replica's validation; the
+# finalizer extends its chain without checking the link again.
+CHECK_LINKS_PER_TX = 4
 
 
 def test_work_per_committed_write_stays_within_the_measured_counts(genesis_file, txf, monkeypatch):
@@ -37,6 +40,9 @@ def test_work_per_committed_write_stays_within_the_measured_counts(genesis_file,
     apply = counting("apply", state.apply_transaction)
     for module in (state, consensus, ledger):
         monkeypatch.setattr(module, "apply_transaction", apply)
+    check_link = counting("check_link", ledger.check_link)
+    for module in (consensus, ledger):
+        monkeypatch.setattr(module, "check_link", check_link)
     for tx in txs:
         assert submit_tx(net, tx, via=vals[0])[0]
         assert step_until_quiescent(net, 400)
@@ -45,3 +51,4 @@ def test_work_per_committed_write_stays_within_the_measured_counts(genesis_file,
     assert counts["verify"] <= VERIFIES_PER_TX * WRITES
     assert counts["encode"] <= ENCODES_PER_TX * WRITES
     assert counts["apply"] <= APPLIES_PER_TX * WRITES
+    assert counts["check_link"] <= CHECK_LINKS_PER_TX * WRITES
