@@ -51,7 +51,7 @@ from .ledger import (
     seal_block,
 )
 from .payloads import SignedTransaction
-from .state import Event, WorldState, apply_transaction, expected_nonce, state_root
+from .state import Event, WorldState, execute_transaction, expected_nonce, state_root
 from .wallet import verify_envelope
 
 VIEW_TIMEOUT_TICKS = 12   # must exceed a full propose/vote/commit exchange
@@ -618,9 +618,10 @@ def _select_txs(node: ValidatorNode, limit: int = MAX_BLOCK_TXS) -> tuple[list, 
     """Greedily pick up to *limit* mempool transactions that apply cleanly, dropping dead ones.
 
     Returns them with the post-state and events of their fold as the next block.
+    The fold copies ``node.state`` just before its first execute, if any.
     """
     selected: list[SignedTransaction] = []
-    scratch = node.state
+    work = node.state
     events: list[Event] = []
     dead: list[str] = []
     for tx_id, (tx, _) in node.mempool.items():
@@ -629,23 +630,22 @@ def _select_txs(node: ValidatorNode, limit: int = MAX_BLOCK_TXS) -> tuple[list, 
         if node.on_chain(tx_id):
             dead.append(tx_id)
             continue
-        expected = expected_nonce(scratch, tx.sender)
+        expected = expected_nonce(work, tx.sender)
         if tx.nonce > expected:
             continue  # may become valid after earlier nonces land
         if tx.nonce < expected:
             dead.append(tx_id)
             continue
+        if work is node.state:
+            work = work.clone()
         try:
-            scratch, evs = apply_transaction(
-                scratch, tx, height=node.next_height, tx_index=len(selected)
-            )
+            events += execute_transaction(work, tx, height=node.next_height, tx_index=len(selected))
             selected.append(tx)
-            events.extend(evs)
         except TransactionError:
-            dead.append(tx_id)
+            dead.append(tx_id)  # it wrote nothing, so the copy stays good
     for tx_id in dead:
         del node.mempool[tx_id]
-    return selected, scratch, events
+    return selected, work, events
 
 
 def quiescent(network: Network) -> bool:

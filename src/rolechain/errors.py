@@ -19,7 +19,7 @@ class RoleChainError(Exception):
 # --- transaction / contract errors -----------------------------------------
 
 class TransactionError(RoleChainError):
-    """A transaction was rejected; state is left untouched."""
+    """A transaction was rejected before its first write: the state it ran on is as it was."""
 
 
 class AlreadyRegistered(TransactionError):

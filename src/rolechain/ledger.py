@@ -23,7 +23,7 @@ from .errors import (
     TransactionError,
 )
 from .payloads import SignedTransaction
-from .state import Event, WorldState, apply_transaction, state_root
+from .state import Event, WorldState, execute_transaction, state_root
 
 GENESIS_PREV_HASH = codec.ZERO_DIGEST
 
@@ -112,15 +112,15 @@ def new_chain(genesis_state: WorldState) -> Chain:
 def _apply_all(
     state: WorldState, transactions, height: int
 ) -> tuple[WorldState, list[Event]]:
-    st = state
+    """The post-state and events of *transactions* on one copy of *state*."""
+    work = state.clone()
     events: list[Event] = []
     for i, tx in enumerate(transactions):
         try:
-            st, evs = apply_transaction(st, tx, height=height, tx_index=i)
+            events += execute_transaction(work, tx, height=height, tx_index=i)
         except TransactionError as exc:
             raise InvalidTransaction(i, exc.code) from exc
-        events.extend(evs)
-    return st, events
+    return work, events
 
 
 def build_block(

@@ -43,6 +43,7 @@ from .consensus import (
 from .errors import SimTimeout
 from .payloads import (
     GrantPermissionPayload,
+    Payload,
     RegisterUserPayload,
     RevokePermissionPayload,
     UpdateUserRolePayload,
@@ -55,6 +56,17 @@ DEFAULT_PASSPHRASE = "scenario-passphrase"
 _KDF_ITERATIONS = 100  # simulation wallets are throwaway; favor speed
 
 
+@dataclass(frozen=True)
+class WorkItem:
+    """One workload entry, checked and built at load; only its nonce and signature wait."""
+
+    tick: int
+    op: str
+    actor: str
+    payload: Payload
+    via: str | None  # the entry validator, or None for the first one up
+
+
 @dataclass
 class Scenario:
     name: str
@@ -62,7 +74,7 @@ class Scenario:
     passphrases: dict[str, str]
     genesis: GenesisFile
     config: NetworkConfig
-    workload: list[dict]
+    workload: list[WorkItem]
     max_ticks: int = 300
 
 
@@ -92,16 +104,16 @@ def _parse_scenario(doc: dict) -> Scenario:
     for actor_name, entry in doc["actors"].items():
         actors[actor_name], passphrases[actor_name] = _actor_wallet(actor_name, entry or {})
 
-    def addr(actor_name: str) -> str:
+    def actor(actor_name: str) -> Wallet:
         if actor_name not in actors:
             raise ValueError(f"workload references unknown actor {actor_name!r}")
-        return actors[actor_name].address
+        return actors[actor_name]
 
-    validators = [addr(v) for v in doc["validators"]]
+    validators = [actor(v).address for v in doc["validators"]]
     orgs = tuple(
         OrgRecord(
             org_id=o["org_id"],
-            admins=frozenset(addr(a) for a in o["admins"]),
+            admins=frozenset(actor(a).address for a in o["admins"]),
             role_catalog={
                 role: RolePolicy(
                     role_id=role,
@@ -130,7 +142,10 @@ def _parse_scenario(doc: dict) -> Scenario:
         ],
         drop_rules=[DropRule(**r) for r in net.get("drop_rules", [])],
     )
-    workload = sorted(doc.get("workload", []), key=lambda w: w["tick"])
+    workload = sorted(
+        (_work_item(item, actor, validators) for item in doc.get("workload", [])),
+        key=lambda w: w.tick,
+    )
     return Scenario(
         name=name,
         actors=actors,
@@ -142,31 +157,39 @@ def _parse_scenario(doc: dict) -> Scenario:
     )
 
 
-def _build_payload(sc: Scenario, item: dict):
+def _work_item(item: dict, actor, validators: list[str]) -> WorkItem:
+    """*item* checked and prepared; *actor* maps an actor name to its wallet or raises."""
     op = item["op"]
-    actor = sc.actors[item["actor"]]
+    wallet = actor(item["actor"])
     if op == "register_user":
-        return RegisterUserPayload(
-            user=actor.address,
-            public_key=actor.public_key,
-            password_digest=actor.password_digest,
+        payload = RegisterUserPayload(
+            user=wallet.address,
+            public_key=wallet.public_key,
+            password_digest=wallet.password_digest,
             org=item["org"],
             requested_role=item["role"],
         )
-    if op == "update_user_role":
-        return UpdateUserRolePayload(
-            user=sc.actors[item["user"]].address,
+    elif op == "update_user_role":
+        payload = UpdateUserRolePayload(
+            user=actor(item["user"]).address,
             org=item["org"],
             old_role=item["old_role"],
             new_role=item["new_role"],
         )
-    if op in ("grant_permission", "revoke_permission"):
+    elif op in ("grant_permission", "revoke_permission"):
         edit = GrantPermissionPayload if op == "grant_permission" else RevokePermissionPayload
-        return edit(
+        payload = edit(
             org=item["org"], role=item["role"],
             permission=Permission(item["resource"], item["action"]),
         )
-    raise ValueError(f"unknown workload op {op!r}")
+    else:
+        raise ValueError(f"unknown workload op {op!r}")
+    via = item.get("via")
+    if via is not None:
+        if type(via) is not int or not 0 <= via < len(validators):
+            raise ValueError(f"workload via {via!r} is not a validator index")
+        via = validators[via]
+    return WorkItem(tick=item["tick"], op=op, actor=item["actor"], payload=payload, via=via)
 
 
 def run_scenario(sc: Scenario) -> tuple[Network, dict]:
@@ -177,23 +200,18 @@ def run_scenario(sc: Scenario) -> tuple[Network, dict]:
 
     pending = list(sc.workload)
     while pending and network.tick < sc.max_ticks:
-        while pending and pending[0]["tick"] <= network.tick:
+        while pending and pending[0].tick <= network.tick:
             item = pending.pop(0)
-            actor_name = item["actor"]
-            wallet = sc.actors[actor_name]
-            payload = _build_payload(sc, item)
-            nonce = nonces.get(actor_name, 0)
+            wallet = sc.actors[item.actor]
+            nonce = nonces.get(item.actor, 0)
             tx = sign_transaction(
-                wallet, sc.passphrases[actor_name], wallet.address, nonce, payload
+                wallet, sc.passphrases[item.actor], wallet.address, nonce, item.payload
             )
-            via = None
-            if "via" in item:
-                via = sc.config.validators[item["via"]]
-            ok, reason, tx_id = submit_tx(network, tx, via=via)
+            ok, reason, tx_id = submit_tx(network, tx, via=item.via)
             if ok:
-                nonces[actor_name] = nonce + 1
+                nonces[item.actor] = nonce + 1
             submitted.append(
-                {"tick": network.tick, "op": item["op"], "actor": actor_name,
+                {"tick": network.tick, "op": item.op, "actor": item.actor,
                  "accepted": ok, "reason": reason, "tx_id": tx_id}
             )
         step(network)

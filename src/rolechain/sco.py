@@ -24,8 +24,8 @@ from .state import (
 
 def _edit_permission(
     state: WorldState, tx: SignedTransaction, height: int, tx_index: int, grant: bool
-) -> tuple[WorldState, list[Event]]:
-    """Add (*grant*) or remove one (org, role, permission) triple as an org admin."""
+) -> list[Event]:
+    """Add (*grant*) or remove one (org, role, permission) triple in *state* as an org admin."""
     payload = tx.payload
     org = state.orgs.get(payload.org)
     if org is None:
@@ -40,27 +40,26 @@ def _edit_permission(
     if not grant and triple not in state.pra:
         raise NotGranted(f"{payload.role!r} does not hold {payload.permission}")
 
-    new = state.clone()
-    (new.pra.add if grant else new.pra.discard)(triple)
+    (state.pra.add if grant else state.pra.discard)(triple)
     event = Event.make(
         EVENT_PERMISSION_GRANTED if grant else EVENT_PERMISSION_REVOKED,
         {"org": payload.org, "role": payload.role, "permission": payload.permission},
         height,
         tx_index,
     )
-    return new, [event]
+    return [event]
 
 
 def grant_permission(
     state: WorldState, tx: SignedTransaction, *, height: int = 0, tx_index: int = 0
-) -> tuple[WorldState, list[Event]]:
+) -> list[Event]:
     """Add (org, role, permission) to the permission-role relation."""
     return _edit_permission(state, tx, height, tx_index, grant=True)
 
 
 def revoke_permission(
     state: WorldState, tx: SignedTransaction, *, height: int = 0, tx_index: int = 0
-) -> tuple[WorldState, list[Event]]:
+) -> list[Event]:
     """Remove (org, role, permission) from the permission-role relation."""
     return _edit_permission(state, tx, height, tx_index, grant=False)
 

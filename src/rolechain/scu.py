@@ -10,8 +10,8 @@ Authorization rules:
   any cataloged role. The reserved old-role sentinel ``"none"`` lets an
   admin add a role without removing one (the grant path into a second org).
 
-Each successful call emits exactly one event; a failed call emits none and
-leaves the state value untouched.
+Each handler checks against the state it is given, then writes into it and
+returns its one event; a failed call raises before its first write.
 """
 
 from __future__ import annotations
@@ -42,8 +42,8 @@ ROLE_NONE = "none"  # reserved: never a catalog role, legal only as old_role
 
 def register_user(
     state: WorldState, tx: SignedTransaction, *, height: int = 0, tx_index: int = 0
-) -> tuple[WorldState, list[Event]]:
-    """Create a user record and the initial (user, org, role) assignment."""
+) -> list[Event]:
+    """Create a user record and the initial (user, org, role) assignment in *state*."""
     payload: RegisterUserPayload = tx.payload
     if payload.user != tx.sender:
         raise AddressMismatch("registration must be signed by the user being registered")
@@ -63,27 +63,26 @@ def register_user(
         if role_holder_count(state, payload.org, payload.requested_role) >= policy.max_holders:
             raise RoleFull(f"role {payload.requested_role!r} is at capacity")
 
-    new = state.clone()
-    new.users[payload.user] = UserRecord(
+    state.users[payload.user] = UserRecord(
         address=payload.user,
         public_key=payload.public_key,
         password_digest=payload.password_digest,
         registered_at=(height, tx_index),
     )
-    new.ura.add((payload.user, payload.org, payload.requested_role))
+    state.ura.add((payload.user, payload.org, payload.requested_role))
     event = Event.make(
         EVENT_USER_REGISTERED,
         {"user": payload.user, "org": payload.org, "role": payload.requested_role},
         height,
         tx_index,
     )
-    return new, [event]
+    return [event]
 
 
 def update_user_role(
     state: WorldState, tx: SignedTransaction, *, height: int = 0, tx_index: int = 0
-) -> tuple[WorldState, list[Event]]:
-    """Replace (user, org, old_role) with (user, org, new_role) atomically."""
+) -> list[Event]:
+    """Replace (user, org, old_role) with (user, org, new_role) in *state*."""
     payload: UpdateUserRolePayload = tx.payload
     if payload.user not in state.users:
         raise NotRegistered(payload.user)
@@ -108,10 +107,9 @@ def update_user_role(
         if role_holder_count(state, payload.org, payload.new_role) >= policy.max_holders:
             raise RoleFull(f"role {payload.new_role!r} is at capacity")
 
-    new = state.clone()
     if not adding:
-        new.ura.discard((payload.user, payload.org, payload.old_role))
-    new.ura.add((payload.user, payload.org, payload.new_role))
+        state.ura.discard((payload.user, payload.org, payload.old_role))
+    state.ura.add((payload.user, payload.org, payload.new_role))
     event = Event.make(
         EVENT_USER_ROLE_UPDATED,
         {
@@ -123,4 +121,4 @@ def update_user_role(
         height,
         tx_index,
     )
-    return new, [event]
+    return [event]

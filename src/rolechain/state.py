@@ -1,10 +1,10 @@
 """The replicated identity state: users, organizations, role and permission relations.
 
-The world state is a value. Applying a transaction never mutates the input
-state; it validates against it, then returns a fresh copy with the change
-plus the audit events the change emitted. Replaying a chain of blocks from
-the genesis state reconstructs the exact same value on every node, which is
-what the per-block ``state_root`` digests pin down.
+A published world state is a value. A fold over transactions clones it once
+and runs :func:`execute_transaction` on the copy, which checks a transaction
+and then writes it, so a raise has written nothing. Replaying a chain of
+blocks from the genesis state reconstructs the exact same value on every
+node, which is what the per-block ``state_root`` digests pin down.
 
 ``state_root`` hashes the canonical JSON of ``WorldState.to_dict()`` without
 building it. Each relation (``nonces``, ``orgs``, ``pra``, ``ura``,
@@ -372,28 +372,23 @@ def expected_nonce(state: WorldState, sender: str) -> int:
     return state.nonces.get(sender, 0)
 
 
-def apply_transaction(
-    state: WorldState,
-    tx: "SignedTransaction",
-    *,
-    height: int = 0,
-    tx_index: int = 0,
-) -> tuple[WorldState, list[Event]]:
-    """Validate the envelope, dispatch to the contract handler, return (new state, events).
+def execute_transaction(
+    work: WorldState, tx: "SignedTransaction", *, height: int, tx_index: int
+) -> list[Event]:
+    """Check *tx* against *work*, then write its change into *work*; return its events.
 
-    The input state is never touched: on any failure the exception propagates
-    and the caller keeps the exact value it passed in.
+    Every check runs before the first write, so on a raise *work* is as it was.
     """
     # Handler modules depend on the types above, so import them lazily here.
     from . import payloads, sco, scu, wallet
 
-    record = state.users.get(tx.sender)
+    record = work.users.get(tx.sender)
     if record is not None and record.public_key != tx.public_key:
         raise BadSignature("public key differs from the registered key")
     if not wallet.verify_envelope(tx):
         raise BadSignature("public key does not bind to the sender, or the signature fails")
 
-    expected = expected_nonce(state, tx.sender)
+    expected = expected_nonce(work, tx.sender)
     if tx.nonce != expected:
         raise BadNonce(f"expected nonce {expected}, got {tx.nonce}")
 
@@ -409,9 +404,17 @@ def apply_transaction(
     else:  # pragma: no cover - payload decoding precludes this
         raise TypeError(f"unknown payload type {type(payload).__name__}")
 
-    new_state, events = handler(state, tx, height=height, tx_index=tx_index)
-    new_state.nonces[tx.sender] = expected + 1
-    return new_state, events
+    events = handler(work, tx, height=height, tx_index=tx_index)
+    work.nonces[tx.sender] = expected + 1
+    return events
+
+
+def apply_transaction(
+    state: WorldState, tx: "SignedTransaction", *, height: int = 0, tx_index: int = 0
+) -> tuple[WorldState, list[Event]]:
+    """(new state, events) of *tx* on a copy of *state*, which is never touched."""
+    new = state.clone()
+    return new, execute_transaction(new, tx, height=height, tx_index=tx_index)
 
 
 def query_user(state: WorldState, addr: str) -> UserRecord | None:

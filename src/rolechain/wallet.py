@@ -35,6 +35,16 @@ class Wallet(codec.Record):
     kdf_iterations: int
     password_digest: str
 
+    def __post_init__(self):
+        codec.require_hex(self.address, 20, "wallet address")
+        codec.require_hex(self.public_key, 32, "wallet public_key")
+        codec.require_hex(self.kdf_salt, KDF_SALT_BYTES, "wallet kdf_salt")
+        codec.require_hex(self.password_digest, 32, "wallet password_digest")
+        if not codec.is_hex(self.enc_private_key):
+            raise ValueError("wallet enc_private_key must be lowercase hex")
+        if type(self.kdf_iterations) is not int or self.kdf_iterations < 1:
+            raise ValueError("wallet kdf_iterations must be an integer of at least 1")
+
 
 def password_digest(passphrase: str, kdf_salt: bytes) -> str:
     """The on-chain registration credential: SHA-256(passphrase bytes || salt)."""

@@ -2,15 +2,29 @@
 
 Everything here is deliberately primitive — plain tuples, sets, and loops,
 sharing no code with the modules under test — so agreement between the two
-sides actually means something. The one exception is ``check_integrity``, a
+sides actually means something. Two exceptions: ``check_integrity``, a
 full-scan invariant check that reuses the program's address derivation and
-holder count.
+holder count, and ``on_a_copy``, the adapter through which tests call a
+contract handler directly.
 """
 
 from __future__ import annotations
 
 from rolechain import keys
 from rolechain.state import Permission, WorldState, role_holder_count
+
+
+def on_a_copy(handler):
+    """*handler* run on a clone of the state it is given, returning (new state, events).
+
+    Contract handlers write into the state they are given. Tests that call
+    one directly keep the value shape through this adapter, so the
+    session-scoped ``genesis_state`` fixture is never written.
+    """
+    def call(state, tx, **kwargs):
+        new = state.clone()
+        return new, handler(new, tx, **kwargs)
+    return call
 
 
 def brute_force_check(ura, pra, user: str, org: str, perm: tuple[str, str]):

@@ -13,7 +13,7 @@ import time
 import pytest
 import requests
 
-from rolechain import codec
+from rolechain import codec, sco, scu
 from rolechain.api import ApiServer, NodeHandle
 from rolechain.consensus import (
     CrashRule,
@@ -31,14 +31,18 @@ from rolechain.errors import (
     SimTimeout,
 )
 from rolechain.ledger import Block, Chain, hash_header, replay, verify_chain
-from rolechain.sco import check_permission, grant_permission, revoke_permission
-from rolechain.scu import register_user, update_user_role
+from rolechain.sco import check_permission
 from rolechain.state import Permission, apply_transaction, state_root
 from rolechain.wallet import create_wallet, sign_transaction, verify_signature
 
 from conftest import PASSPHRASE, TxFactory, make_chain
-from oracles import brute_force_check, fold_events, mutate_one_byte, plain_relations
+from oracles import brute_force_check, fold_events, mutate_one_byte, on_a_copy, plain_relations
 from workloads import WorkloadBuilder
+
+register_user = on_a_copy(scu.register_user)
+update_user_role = on_a_copy(scu.update_user_role)
+grant_permission = on_a_copy(sco.grant_permission)
+revoke_permission = on_a_copy(sco.revoke_permission)
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 

@@ -387,6 +387,7 @@ def probe_files(tmp_path, genesis_file, genesis_state, wallets):
     wallet = wallets["v0"].to_dict()
     write("wallet-no-key", {k: v for k, v in wallet.items() if k != "enc_private_key"})
     write("wallet-not-json", None, raw="{not json")
+    write("wallet-str-iterations", {**wallet, "kdf_iterations": "10"})
     save_wallet(wallets["v0"], tmp_path / "wallet.json")
     files["wallet"] = str(tmp_path / "wallet.json")
     for name in ("genesis-no-chain-id", "genesis-list"):
@@ -421,6 +422,9 @@ _PROBES = {
         "--wallet {wallet-no-key} user register --org acme --role member --nonce 0",
         None, 3, "enc_private_key"),
     "show-wallet-not-json": ("wallet show --path {wallet-not-json}", None, 3, "error: "),
+    "register-wallet-str-iterations": (
+        "--wallet {wallet-str-iterations} user register --org acme --role member --nonce 0",
+        None, 3, "kdf_iterations"),
     "register-wrong-passphrase": (
         "--node http://127.0.0.1:1 --wallet {wallet} user register --org acme "
         "--role member --nonce 0", "not the passphrase", 3, "error [BadPassphrase]"),

@@ -1,4 +1,7 @@
 import json
+import re
+
+import pytest
 
 from rolechain.ledger import verify_chain
 from rolechain.scenario import load_scenario, run_scenario
@@ -77,3 +80,30 @@ def test_scenario_file_loading(tmp_path):
 
     _, report = run_scenario_file(path)
     assert report["scenario"] == "lifecycle"
+
+
+def _with_first_item(**changes):
+    doc = json.loads(json.dumps(BASE))
+    doc["workload"][0].update(changes)
+    doc["workload"][0] = {k: v for k, v in doc["workload"][0].items() if v is not None}
+    return doc
+
+
+@pytest.mark.parametrize("changes, text", [
+    ({"org": None}, "'org'"),
+    ({"actor": None}, "'actor'"),
+    ({"op": "delete_user"}, "unknown workload op 'delete_user'"),
+    ({"actor": "nobody"}, "unknown actor 'nobody'"),
+    ({"via": 4}, "workload via 4"),
+    ({"via": -1}, "workload via -1"),
+])
+def test_a_bad_workload_item_is_refused_at_load(changes, text):
+    with pytest.raises(ValueError, match=re.escape(text)):
+        load_scenario(_with_first_item(**changes))
+
+
+def test_a_workload_item_enters_at_its_via_validator():
+    sc = load_scenario(_with_first_item(via=2))
+    assert sc.workload[0].via == sc.config.validators[2]
+    _, report = run_scenario(sc)
+    assert report["quiescent"] and all(s["accepted"] for s in report["submissions"])

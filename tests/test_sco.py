@@ -3,10 +3,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rolechain.errors import DuplicateGrant, NotAuthorized, NotGranted, UnknownOrg, UnknownRole
-from rolechain.sco import check_permission, grant_permission, revoke_permission
+from rolechain import sco
+from rolechain.sco import check_permission
 from rolechain.state import Permission, WorldState, apply_transaction
 
-from oracles import brute_force_check, fold_events, plain_relations
+from oracles import brute_force_check, fold_events, on_a_copy, plain_relations
+
+grant_permission = on_a_copy(sco.grant_permission)
+revoke_permission = on_a_copy(sco.revoke_permission)
 
 LEDGER_READ = Permission("ledger", "read")
 

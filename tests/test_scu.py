@@ -1,5 +1,6 @@
 import pytest
 
+from rolechain import scu
 from rolechain.errors import (
     AddressMismatch,
     AlreadyRegistered,
@@ -12,10 +13,12 @@ from rolechain.errors import (
     UnknownRole,
 )
 from rolechain.payloads import RegisterUserPayload
-from rolechain.scu import register_user, update_user_role
 from rolechain.state import apply_transaction
 
-from oracles import fold_events
+from oracles import fold_events, on_a_copy
+
+register_user = on_a_copy(scu.register_user)
+update_user_role = on_a_copy(scu.update_user_role)
 
 
 def _register_chain(genesis_state, txf, *specs):

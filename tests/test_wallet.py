@@ -204,3 +204,22 @@ def test_address_collision_freedom_at_desk_scale():
         _, pk = keys.keypair_from_seed(seed)
         addresses.add(keys.derive_address(pk))
     assert len(addresses) == 10_000
+
+
+@pytest.mark.parametrize("field, value", [
+    ("address", "AB" * 20),
+    ("address", "ab" * 19),
+    ("public_key", "zz" * 32),
+    ("kdf_salt", "07" * 15),
+    ("password_digest", None),
+    ("enc_private_key", "not hex"),
+    ("kdf_iterations", "10"),
+    ("kdf_iterations", 0),
+    ("kdf_iterations", True),
+    ("kdf_iterations", 10.0),
+])
+def test_a_malformed_wallet_file_is_refused_at_load(tmp_path, field, value):
+    path = tmp_path / "w.json"
+    path.write_text(json.dumps({**_wallet().to_dict(), field: value}), "utf-8")
+    with pytest.raises(ValueError, match=field):
+        load_wallet(path)
