@@ -288,19 +288,19 @@ def chain():
 @pass_ctx
 def chain_verify(ctx: Ctx, chain_file, genesis_file, tip_hash):
     """Verify a stored chain end to end; exit 4 on any failure."""
-    from .ledger import FailureAt, verify_chain
-    from .store import Store, build_genesis_state, load_chain, load_genesis
+    from .ledger import verify_chain
+    from .store import build_genesis_state, load_genesis, read_chain
 
     genesis_state = build_genesis_state(load_genesis(genesis_file))
     try:
-        loaded = load_chain(Store(chain_file))
+        loaded = read_chain(chain_file)
         failure = verify_chain(loaded, genesis_state, expected_tip_hash=tip_hash)
     except CorruptStore as exc:
-        failure = FailureAt(exc.height, str(exc))
+        failure = exc
     if failure is not None:
         ctx.emit(
-            {"ok": False, "height": failure.height, "reason": failure.reason},
-            f"FAILED at height {failure.height}: {failure.reason}",
+            {"ok": False, "height": failure.height, "reason": str(failure)},
+            f"FAILED at height {failure.height}: {failure}",
         )
         sys.exit(EXIT_VERIFY_FAILED)
     ctx.emit(

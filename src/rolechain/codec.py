@@ -108,6 +108,12 @@ def require_hex(value: Any, nbytes: int, field: str) -> str:
     return value
 
 
+def require_int(value: Any, field: str) -> int:
+    if type(value) is not int:
+        raise ValueError(f"{field} must be an integer, not {value!r}")
+    return value
+
+
 class Record:
     """Mixin for a frozen dataclass whose wire form is its own fields, by name.
 

@@ -286,10 +286,10 @@ class Network:
             {} if parsed is None else parsed,
         ))
 
-    def broadcast(self, kind: str, sender: str, body: dict) -> None:
+    def broadcast(self, kind: str, sender: str, body: dict, parsed: dict | None = None) -> None:
         # Includes the sender itself: every node handles every message the
-        # same way, which keeps the protocol logic uniform.
-        parsed: dict = {}
+        # same way. *parsed* seeds the recipients' shared parses (Message.parse).
+        parsed = {} if parsed is None else parsed
         for v in self.config.validators:
             self._send(kind, sender, v, body, parsed)
 
@@ -314,7 +314,8 @@ def submit_tx(network: Network, tx: SignedTransaction, via: str | None = None):
     )
     if entry is None:
         return False, "Unavailable", None
-    network.broadcast(TX_GOSSIP, entry, {"tx": tx.to_dict()})
+    # The gossip's one parse is the tx this admission verified.
+    network.broadcast(TX_GOSSIP, entry, {"tx": tx.to_dict()}, {_gossiped_tx: (tx, None)})
     return True, None, tx.tx_id
 
 
@@ -382,7 +383,7 @@ def _validate_proposal(
         check_link(node.chain.tip.header, block)
         if known is None:
             post = execute_block(node.state, block)
-    except (ChainError, TransactionError):
+    except ChainError:
         return None
     if known is not None:
         _, post, events = known

@@ -120,16 +120,16 @@ class InvalidTransaction(ChainError):
 
 
 class ReplayDivergence(RoleChainError):
-    def __init__(self, height: int, message: str = ""):
-        super().__init__(message or f"state root mismatch at height {height}")
+    def __init__(self, height: int, message: str):
+        super().__init__(message)
         self.height = height
 
 
 # --- storage ----------------------------------------------------------------
 
 class CorruptStore(RoleChainError):
-    def __init__(self, height: int, message: str = ""):
-        super().__init__(message or f"store line {height} failed verification")
+    def __init__(self, height: int, message: str):
+        super().__init__(message)
         self.height = height
 
 

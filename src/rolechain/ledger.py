@@ -8,9 +8,9 @@ nothing here reads a clock or remembers a block it built or executed, so
 every audit re-executes. Empty blocks are legal.
 
 One caveat is inherent to hash chains: the tip header's own non-root fields
-(proposer, timestamp) are only pinned by the *next* block. ``verify_chain``
-therefore accepts an optional externally trusted tip digest, which auditors
-should record out of band.
+(proposer, timestamp) are only pinned by the *next* block. ``verify_chain``,
+the verdict of the one audit ``replay``, therefore accepts an optional
+externally trusted tip digest, which auditors should record out of band.
 """
 
 from __future__ import annotations
@@ -75,14 +75,6 @@ class Chain:
 
     def __len__(self) -> int:
         return len(self.blocks)
-
-
-@dataclass(frozen=True)
-class FailureAt:
-    """Verification outcome: the first height that fails, and why."""
-
-    height: int
-    reason: str
 
 
 def hash_header(header: BlockHeader) -> str:
@@ -180,57 +172,43 @@ def append_block(chain: Chain, block: Block) -> Chain:
     return Chain(blocks=(*chain.blocks, block))
 
 
-def verify_chain(
-    chain: Chain,
-    genesis_state: WorldState,
-    expected_tip_hash: str | None = None,
-) -> FailureAt | None:
-    """Full audit: genesis, links, roots, signatures and event logs, by deterministic replay.
+def replay(genesis_state: WorldState, chain: Chain) -> WorldState:
+    """The tip's post-state of *chain*, by the full audit of every block.
 
-    Returns None when everything holds, else the first failing height. A
-    broken hash link between consecutive headers is attributed to the earlier
-    height, since either side of the link may be the corrupted one.
-    """
-    return audit_chain(chain, genesis_state, expected_tip_hash)[0]
-
-
-def audit_chain(
-    chain: Chain,
-    genesis_state: WorldState,
-    expected_tip_hash: str | None = None,
-) -> tuple[FailureAt | None, WorldState]:
-    """The audit of :func:`verify_chain`, plus the state its replay reached.
-
-    The state is the post-state of the tip when the audit passes, else of
-    the last block before the failure.
+    Checks the genesis block, then links, roots, signatures and event logs by
+    deterministic replay. Raises ReplayDivergence with the first failing
+    height and its reason. A broken hash link between consecutive headers is
+    attributed to the earlier height, since either side of the link may be
+    the corrupted one.
     """
     blocks = chain.blocks
     if not blocks or blocks[0].transactions or blocks[0].events or (
         blocks[0].header != genesis_block(genesis_state).header
     ):
-        return FailureAt(0, "genesis block does not match the genesis state"), genesis_state
-
-    st = genesis_state
+        raise ReplayDivergence(0, "genesis block does not match the genesis state")
+    state = genesis_state
     for h in range(1, len(blocks)):
         try:
             check_link(blocks[h - 1].header, blocks[h])
-            st = execute_block(st, blocks[h])
+            state = execute_block(state, blocks[h])
         except LinkMismatch:
-            return FailureAt(h - 1, f"hash link broken between heights {h - 1} and {h}"), st
+            raise ReplayDivergence(h - 1, f"hash link broken between heights {h - 1} and {h}")
         except ChainError as exc:
-            return FailureAt(h, str(exc)), st
-    if expected_tip_hash is not None:
-        if hash_header(blocks[-1].header) != expected_tip_hash:
-            return FailureAt(len(blocks) - 1, "tip header does not match the trusted anchor"), st
-    return None, st
-
-
-def replay(genesis_state: WorldState, chain: Chain) -> WorldState:
-    """The tip's post-state of *chain*, by the full audit of :func:`audit_chain`.
-
-    Raises ReplayDivergence with the first failing height and its reason.
-    """
-    failure, state = audit_chain(chain, genesis_state)
-    if failure is not None:
-        raise ReplayDivergence(failure.height, failure.reason)
+            raise ReplayDivergence(h, str(exc))
     return state
+
+
+def verify_chain(
+    chain: Chain, genesis_state: WorldState, expected_tip_hash: str | None = None
+) -> ReplayDivergence | None:
+    """The verdict of :func:`replay`: None when everything holds, else its ReplayDivergence.
+
+    With *expected_tip_hash*, a tip header that does not hash to it fails at the tip.
+    """
+    try:
+        replay(genesis_state, chain)
+    except ReplayDivergence as exc:
+        return exc
+    if expected_tip_hash is not None and hash_header(chain.tip.header) != expected_tip_hash:
+        return ReplayDivergence(len(chain) - 1, "tip header does not match the trusted anchor")
+    return None

@@ -30,6 +30,7 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
+from . import codec
 from .consensus import (
     CrashRule,
     DropRule,
@@ -115,10 +116,8 @@ def _parse_scenario(doc: dict) -> Scenario:
             org_id=o["org_id"],
             admins=frozenset(actor(a).address for a in o["admins"]),
             role_catalog={
-                role: RolePolicy(
-                    role_id=role,
-                    self_assignable=bool(policy.get("self_assignable", False)),
-                    max_holders=policy.get("max_holders"),
+                role: RolePolicy.from_dict(
+                    {"self_assignable": False, "max_holders": None, **policy, "role_id": role}
                 )
                 for role, policy in o["role_catalog"].items()
             },
@@ -126,6 +125,7 @@ def _parse_scenario(doc: dict) -> Scenario:
         for o in doc["orgs"]
     )
     genesis = GenesisFile(chain_id=name, validators=tuple(validators), orgs=orgs)
+    build_genesis_state(genesis)  # the genesis checks, at load
 
     net = doc.get("network", {})
     config = NetworkConfig(
@@ -153,7 +153,7 @@ def _parse_scenario(doc: dict) -> Scenario:
         genesis=genesis,
         config=config,
         workload=workload,
-        max_ticks=doc.get("max_ticks", 300),
+        max_ticks=codec.require_int(doc.get("max_ticks", 300), "max_ticks"),
     )
 
 
@@ -189,7 +189,8 @@ def _work_item(item: dict, actor, validators: list[str]) -> WorkItem:
         if type(via) is not int or not 0 <= via < len(validators):
             raise ValueError(f"workload via {via!r} is not a validator index")
         via = validators[via]
-    return WorkItem(tick=item["tick"], op=op, actor=item["actor"], payload=payload, via=via)
+    tick = codec.require_int(item["tick"], "workload tick")
+    return WorkItem(tick=tick, op=op, actor=item["actor"], payload=payload, via=via)
 
 
 def run_scenario(sc: Scenario) -> tuple[Network, dict]:

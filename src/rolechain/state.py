@@ -69,6 +69,13 @@ class Permission(codec.Record):
         _check_id(self.action, "permission action")
 
 
+def _self_assignable(value: Any) -> bool:
+    """A JSON boolean, or the integer 0 or 1 standing for one."""
+    if type(value) not in (bool, int) or value not in (0, 1):
+        raise ValueError(f"self_assignable must be a boolean, not {value!r}")
+    return bool(value)
+
+
 @dataclass(frozen=True)
 class RolePolicy(codec.Record):
     """Assignment policy for one role: who may take it and how many may hold it."""
@@ -77,7 +84,7 @@ class RolePolicy(codec.Record):
     self_assignable: bool = False
     max_holders: int | None = None  # None = unlimited
 
-    decoders = {"self_assignable": bool}
+    decoders = {"self_assignable": _self_assignable}
 
     def __post_init__(self):
         _check_id(self.role_id, "role id")

@@ -2,8 +2,9 @@
 
 The block store is one JSONL file per chain, blocks in height order, each
 line carrying a CRC32 of the canonical block bytes. A torn final line (the
-classic crash artifact) is detected, logged, and truncated away; a damaged
-interior line means real corruption and is reported as such, never skipped.
+classic crash artifact) is detected and logged: a reader leaves it out, and
+the writer truncates it away. A damaged interior line means real corruption
+and is reported as such, never skipped.
 
 The genesis file fixes everything a network must agree on before it starts:
 chain id, the validator set, and each organization with its admins and role
@@ -59,6 +60,9 @@ def build_genesis_state(genesis: GenesisFile) -> WorldState:
             raise ValueError(f"duplicate org {org.org_id!r} in genesis")
         if ROLE_NONE in org.role_catalog:
             raise ValueError(f"role id {ROLE_NONE!r} is reserved")
+        for policy in org.role_catalog.values():
+            if policy.max_holders is not None:
+                codec.require_int(policy.max_holders, f"max_holders of role {policy.role_id!r}")
         orgs[org.org_id] = org
     return WorldState(orgs=orgs)
 
@@ -103,59 +107,62 @@ class Store:
             os.fsync(fh.fileno())
 
 
-def _parse_line(line: str) -> Block:
-    doc = json.loads(line)
-    block_dict = doc["block"]
-    crc_stated = doc["crc32"]
-    crc_actual = f"{zlib.crc32(codec.canonical_bytes(block_dict)):08x}"
-    if crc_stated != crc_actual:
-        raise ValueError("crc mismatch")
-    return Block.from_dict(block_dict)
+def _read_lines(path: Path) -> tuple[list[Block], int | None]:
+    """The blocks of *path*'s sound lines, and the byte length to cut a torn final line to.
 
-
-def load_chain(store: Store) -> Chain:
-    """Read back the stored chain, verifying every line.
-
-    A line must frame one block, match its CRC and hold height i at line i.
-    Whether the blocks link and replay is the audit's job
-    (``ledger.verify_chain``, ``ledger.replay``), which every caller runs next.
+    A line must frame one block, match its CRC and hold height i at line i;
+    whether the blocks link and replay is the audit's job (``ledger.replay``).
     An append is durable only once its full line, newline included, hit the
     disk. A final segment without its newline, or one that fails to parse,
-    is a torn write: it is truncated away with a warning. Damage anywhere
-    earlier raises CorruptStore with the offending height.
+    is a torn write: it is left out with a warning (the length is None when
+    nothing is torn). Damage earlier raises CorruptStore with its height.
     """
-    raw = store.path.read_bytes()
-    segments = raw.split(b"\n")
+    segments = path.read_bytes().split(b"\n")
     torn_tail = segments[-1] != b""  # a clean file always ends with a newline
     if not torn_tail:
         segments.pop()
 
     blocks: list[Block] = []
-    good_bytes = 0
     for i, segment in enumerate(segments):
         last = i == len(segments) - 1
         try:
             if last and torn_tail:
                 raise ValueError("no trailing newline")
-            block = _parse_line(segment.decode("utf-8"))
+            doc = json.loads(segment.decode("utf-8"))
+            if doc["crc32"] != f"{zlib.crc32(codec.canonical_bytes(doc['block'])):08x}":
+                raise ValueError("crc mismatch")
+            block = Block.from_dict(doc["block"])
         except (ValueError, KeyError, TypeError) as exc:
             if last:
-                logger.warning(
-                    "truncating torn final line %d of %s (%s)", i, store.path, exc
-                )
-                with open(store.path, "r+b") as fh:
-                    fh.truncate(good_bytes)
-                    os.fsync(fh.fileno())
-                break
+                logger.warning("leaving out torn final line %d of %s (%s)", i, path, exc)
+                return blocks, sum(len(s) + 1 for s in segments[:i])
             raise CorruptStore(i, f"store line {i} unreadable: {exc}") from exc
         if block.header.height != i:
             raise CorruptStore(i, f"height {block.header.height} at store line {i}")
         blocks.append(block)
-        good_bytes += len(segment) + 1
+    return blocks, None
 
+
+def _as_chain(blocks: list[Block]) -> Chain:
     if not blocks:
         raise CorruptStore(0, "store holds no usable blocks")
     return Chain(blocks=tuple(blocks))
+
+
+def read_chain(path: str | Path) -> Chain:
+    """The chain stored at *path*, checked as :func:`_read_lines` does, without a write."""
+    return _as_chain(_read_lines(Path(path))[0])
+
+
+def load_chain(store: Store) -> Chain:
+    """The writer's read of :func:`read_chain`: a torn final line is also truncated away."""
+    blocks, good_bytes = _read_lines(store.path)
+    if good_bytes is not None:
+        logger.warning("truncating torn final line of %s to %d bytes", store.path, good_bytes)
+        with open(store.path, "r+b") as fh:
+            fh.truncate(good_bytes)
+            os.fsync(fh.fileno())
+    return _as_chain(blocks)
 
 
 # --- data directory conventions ---------------------------------------------

@@ -330,6 +330,40 @@ def test_chain_verify_refuses_a_genesis_stamped_with_another_tick(
     assert (result["ok"], result["height"]) == (False, 0)
 
 
+@pytest.mark.parametrize("damage", ["cut into the last line", "bad crc on the last line"])
+def test_chain_verify_leaves_a_torn_store_as_it_found_it(
+    runner, tmp_path, genesis_file, genesis_state, txf, wallets, damage
+):
+    """A torn final line is left out of the verdict, and the audited file is never written."""
+    txs = [txf.register("alice", "acme", "member"), txf.register("bob", "globex", "member")]
+    chain = make_chain(genesis_state, txs, proposer=wallets["v0"].address, per_block=1)
+    chain_file, genesis_path = tmp_path / "chain.jsonl", tmp_path / "genesis.json"
+    store = Store(chain_file)
+    for block in chain.blocks:
+        store.append(block)
+    save_genesis(genesis_file, genesis_path)
+    raw = chain_file.read_bytes()
+    if damage == "cut into the last line":
+        raw = raw[:-17]
+    else:
+        *lines, last, _ = raw.split(b"\n")
+        doc = json.loads(last)
+        doc["crc32"] = f"{int(doc['crc32'], 16) ^ 1:08x}"
+        raw = b"\n".join([*lines, codec.canonical_bytes(doc), b""])
+    chain_file.write_bytes(raw)
+    os.utime(chain_file, ns=(1_000_000_000, 1_000_000_000))  # any write would move it
+
+    for output, verdict in (("json", {"ok": True, "height": 1, "blocks": 2}),
+                            ("human", "OK: 2 blocks, tip height 1")):
+        r = runner.invoke(main, [
+            "--output", output, "chain", "verify", str(chain_file), "--genesis", str(genesis_path),
+        ], env=_env(tmp_path))
+        assert r.exit_code == 0, r.output
+        assert (json.loads(r.stdout) if output == "json" else r.stdout.strip()) == verdict
+        assert chain_file.read_bytes() == raw
+        assert chain_file.stat().st_mtime_ns == 1_000_000_000
+
+
 def test_cli_config_file_supplies_defaults(runner, tmp_path, node_server, wallets):
     save_wallet(wallets["carol"], tmp_path / "carol.json")
     cfg = tmp_path / "cli.json"
@@ -384,19 +418,37 @@ def probe_files(tmp_path, genesis_file, genesis_state, wallets):
     write("genesis-no-chain-id", {k: v for k, v in genesis.items() if k != "chain_id"})
     write("genesis-list", [genesis])
     write("genesis-bad-validator", {**genesis, "validators": ["zz" * 20]})
+    for name, role, field, value in (
+        ("genesis-float-max-holders", "contractor", "max_holders", 2.5),
+        ("genesis-str-self-assignable", "auditor", "self_assignable", "false"),
+    ):
+        doc = json.loads(json.dumps(genesis))
+        doc["orgs"][0]["role_catalog"][role][field] = value
+        write(name, doc)
     wallet = wallets["v0"].to_dict()
     write("wallet-no-key", {k: v for k, v in wallet.items() if k != "enc_private_key"})
     write("wallet-not-json", None, raw="{not json")
     write("wallet-str-iterations", {**wallet, "kdf_iterations": "10"})
     save_wallet(wallets["v0"], tmp_path / "wallet.json")
     files["wallet"] = str(tmp_path / "wallet.json")
-    for name in ("genesis-no-chain-id", "genesis-list"):
+    for name in ("genesis-no-chain-id", "genesis-list", "genesis-float-max-holders"):
         write(f"svc-{name}", {
             "listen": "127.0.0.1:0", "data_dir": str(tmp_path / "data"),
             "genesis": files[name], "node_key": files["wallet"],
         })
     write("svc-list", [{"listen": "127.0.0.1:0"}])
     write("scenario-no-validators", {k: v for k, v in BASE.items() if k != "validators"})
+    for name, edit in (
+        ("float-max-holders", lambda sc: sc["orgs"][0]["role_catalog"]["member"].update(
+            max_holders=2.5)),
+        ("str-self-assignable", lambda sc: sc["orgs"][0]["role_catalog"]["auditor"].update(
+            self_assignable="false")),
+        ("float-max-ticks", lambda sc: sc.update(max_ticks=300.0)),
+        ("float-tick", lambda sc: sc["workload"][0].update(tick=1.0)),
+    ):
+        scenario = json.loads(json.dumps(BASE))
+        edit(scenario)
+        write(f"scenario-{name}", scenario)
     write("config-list", ["http://127.0.0.1:1"])
     Store(tmp_path / "chain.jsonl").append(genesis_block(genesis_state))
     files["chain"] = str(tmp_path / "chain.jsonl")
@@ -412,6 +464,13 @@ _PROBES = {
     "verify-genesis-bad-validator": (
         "chain verify {chain} --genesis {genesis-bad-validator}", None, 3,
         "validator address"),
+    "verify-genesis-float-max-holders": (
+        "chain verify {chain} --genesis {genesis-float-max-holders}", None, 3, "max_holders"),
+    "verify-genesis-str-self-assignable": (
+        "chain verify {chain} --genesis {genesis-str-self-assignable}", None, 3,
+        "self_assignable"),
+    "serve-genesis-float-max-holders": (
+        "node serve --config {svc-genesis-float-max-holders}", None, 3, "max_holders"),
     "serve-genesis-no-chain-id": (
         "node serve --config {svc-genesis-no-chain-id}", None, 3, "chain_id"),
     "serve-genesis-list": ("node serve --config {svc-genesis-list}", None, 3, "GenesisFile"),
@@ -429,6 +488,11 @@ _PROBES = {
         "--node http://127.0.0.1:1 --wallet {wallet} user register --org acme "
         "--role member --nonce 0", "not the passphrase", 3, "error [BadPassphrase]"),
     "sim-no-validators": ("sim run {scenario-no-validators}", None, 3, "validators"),
+    "sim-float-max-holders": ("sim run {scenario-float-max-holders}", None, 3, "max_holders"),
+    "sim-str-self-assignable": (
+        "sim run {scenario-str-self-assignable}", None, 3, "self_assignable"),
+    "sim-float-max-ticks": ("sim run {scenario-float-max-ticks}", None, 3, "max_ticks"),
+    "sim-float-tick": ("sim run {scenario-float-tick}", None, 3, "tick"),
     "config-list": ("--config {config-list} wallet show", None, 2, "not a JSON object"),
     "seed-hex-not-hex": ("wallet create --seed-hex zz --path {wallet}.new", None, 2, "hex"),
 }

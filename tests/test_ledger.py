@@ -6,7 +6,9 @@ import random
 import pytest
 
 from rolechain import codec
-from rolechain.errors import HeightGap, InvalidTransaction, LinkMismatch, RootMismatch
+from rolechain.errors import (
+    HeightGap, InvalidTransaction, LinkMismatch, ReplayDivergence, RootMismatch,
+)
 from rolechain.ledger import (
     Block,
     BlockHeader,
@@ -16,6 +18,7 @@ from rolechain.ledger import (
     genesis_block,
     hash_header,
     new_chain,
+    replay,
     verify_chain,
 )
 from rolechain.state import Event
@@ -249,6 +252,43 @@ def test_exhaustive_single_byte_mutation_on_small_chain(genesis_state, txf, wall
             failure = verify_chain(tampered, genesis_state, expected_tip_hash=anchor)
             assert failure is not None, f"byte {pos} of block {h} slipped through"
             assert failure.height <= h
+
+
+def test_verify_chain_returns_the_divergence_that_replay_raises(genesis_state, txf, wallets):
+    """Over the byte-flip corpus the verdict is replay's own error, with its height and text."""
+    txs = [
+        txf.register("alice", "acme", "member"),
+        txf.grant("admin_acme", "acme", "member", "ledger", "read"),
+    ]
+    chain = make_chain(genesis_state, txs, proposer=wallets["v0"].address, per_block=1)
+    anchor = hash_header(chain.tip.header)
+    diverged = anchored = 0
+    for h, original in enumerate(chain.blocks):
+        raw = codec.canonical_bytes(original.to_dict())
+        for pos in range(len(raw)):
+            mutated = raw[:pos] + bytes([raw[pos] ^ 0x01]) + raw[pos + 1:]
+            try:
+                block = Block.from_dict(json.loads(mutated.decode("utf-8")))
+            except (ValueError, KeyError, TypeError, UnicodeDecodeError):
+                continue
+            tampered = Chain(blocks=(*chain.blocks[:h], block, *chain.blocks[h + 1:]))
+            try:
+                replay(genesis_state, tampered)
+            except ReplayDivergence as exc:
+                failure = verify_chain(tampered, genesis_state)
+                assert type(failure) is ReplayDivergence, (h, pos, failure)
+                assert (failure.height, str(failure)) == (exc.height, str(exc)), (h, pos)
+                diverged += 1
+                continue
+            # Only the tip header's own fields changed: the anchor alone catches it.
+            assert verify_chain(tampered, genesis_state) is None
+            failure = verify_chain(tampered, genesis_state, expected_tip_hash=anchor)
+            assert type(failure) is ReplayDivergence, (h, pos, failure)
+            assert (failure.height, str(failure)) == (
+                chain.height, "tip header does not match the trusted anchor"
+            )
+            anchored += 1
+    assert diverged > 100 and anchored > 0
 
 
 def test_deterministic_chain_bytes(genesis_state, wallets):

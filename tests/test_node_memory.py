@@ -7,6 +7,7 @@ a running digest, so a write that does not grow the state retains little
 beyond its block, however many messages it took.
 """
 
+import dataclasses
 import gc
 import tracemalloc
 
@@ -16,7 +17,8 @@ from conftest import TxFactory
 from rolechain import consensus, keys
 from rolechain.api import NodeHandle
 from rolechain.consensus import (
-    PROPOSAL, TX_GOSSIP, VOTE, Network, NetworkConfig, step_until_quiescent, submit_tx,
+    MAX_BLOCK_TXS, PROPOSAL, SYNC_RESPONSE, TX_GOSSIP, VOTE, Message, Network, NetworkConfig,
+    step, step_until_quiescent, submit_tx,
 )
 from rolechain.ledger import build_block, hash_header
 from rolechain.store import build_genesis_state
@@ -117,6 +119,61 @@ def test_bad_gossip_is_dropped_by_every_recipient_and_later_txs_commit(
     ok, _, tx_id = submit_tx(net, txf.register("alice", "acme", "member"))
     assert ok and step_until_quiescent(net, 100)
     assert net.tx_heights == {tx_id: 1}
+
+
+def _refused_message(case, vals, block, proposal):
+    """(kind, sender, body) of a message that replica vals[0] must refuse in *case*."""
+    good = block.to_dict()
+    if case == "sync block does not decode":
+        return SYNC_RESPONSE, vals[1], {"blocks": [{**good, "events": None}, good]}
+    if case == "sync block fails validation":
+        bad = dataclasses.replace(block, events=())  # decodes, but its replay disagrees
+        return SYNC_RESPONSE, vals[1], {"blocks": [bad.to_dict(), good]}
+    if case == "round message without height":
+        return PROPOSAL, vals[1], {k: v for k, v in proposal.items() if k != "height"}
+    return PROPOSAL, vals[2], {**proposal, "proposer": vals[2]}  # not proposer_for(1, 0)
+
+
+@pytest.mark.parametrize("case", [
+    "sync block does not decode", "sync block fails validation",
+    "round message without height", "proposal from a node that is not its proposer",
+])
+def test_refused_message_changes_nothing_and_later_txs_commit(genesis_file, txf, case):
+    """A valid block 1 follows the refused one in each sync response: the rest is dropped."""
+    net, vals = _network(genesis_file)
+    node = net.nodes[vals[0]]
+    block, proposal = _proposal(net, vals, txf)
+    kind, sender, body = _refused_message(case, vals, block, proposal)
+    net.seq += 1
+    net.queue.append(Message(kind, sender, node.id, body, net.tick + 1, net.seq))
+    step(net)  # raised nothing
+    assert node.chain.height == 0 and node.mempool == {}
+    assert not node.round.pending() and node.sync_inflight_until == -1
+    assert not [m for m in net.queue if m.kind == VOTE]
+
+    ok, _, tx_id = submit_tx(net, txf.register("bob", "acme", "member"))
+    assert ok and step_until_quiescent(net, 100)
+    assert all(n.on_chain(tx_id) for n in net.nodes.values())
+
+
+def test_a_block_takes_max_block_txs_and_the_next_ready_tx_commits_after(genesis_file, txf):
+    net, vals = _network(genesis_file)
+    txs = [
+        txf.grant("admin_acme", "acme", "member", f"res{i}", "read")
+        for i in range(MAX_BLOCK_TXS + 1)
+    ]
+    for node in net.nodes.values():
+        for tx in txs:
+            node.admit(tx, net.tick)
+    first = net.nodes[vals[0]]
+    while first.chain.height < 1:
+        step(net)  # raised nothing
+    assert first.chain.tip.transactions == tuple(txs[:MAX_BLOCK_TXS])
+    assert list(first.mempool) == [txs[-1].tx_id]  # still queued
+    assert step_until_quiescent(net, 100)
+    for node in net.nodes.values():
+        assert [len(b.transactions) for b in node.chain.blocks] == [0, MAX_BLOCK_TXS, 1]
+        assert node.mempool == {}
 
 
 def _retained() -> int:

@@ -187,6 +187,36 @@ def test_altered_body_under_a_memoized_header_is_refused(genesis_file, txf, kind
     assert node.round.proposals[block_hash][1] is net.executed[block_hash][1]
 
 
+@pytest.mark.parametrize("breakage", ["header does not decode", "block does not decode"])
+def test_commit_that_does_not_decode_is_refused_and_a_later_tx_commits(
+    genesis_file, txf, breakage
+):
+    vals = list(genesis_file.validators)
+    net = Network(NetworkConfig(validators=vals, rng_seed=5), build_genesis_state(genesis_file))
+    node = net.nodes[vals[0]]
+    block = build_block(
+        node.chain.tip.header, [txf.register("alice", "acme", "member")], node.state, vals[1], 1
+    )
+    block_hash = hash_header(block.header)
+    body = {"height": 1, "block_hash": block_hash, "block": block.to_dict()}
+    if breakage == "header does not decode":
+        body["block"]["header"]["state_root"] = "zz" * 32
+        counted = {}
+    else:
+        body["block"]["events"] = None  # the header still hashes to block_hash
+        counted = {block_hash: {vals[1]}}
+    net.seq += 1
+    net.queue.append(Message(COMMIT, vals[1], node.id, body, net.tick + 1, net.seq))
+    step(net)  # raised nothing
+    # The commit counts for the block whose header it carries, but no replica holds it.
+    assert node.round.commit_tally == counted and node.round.proposals == {}
+    assert node.chain.height == 0 and node.mempool == {}
+
+    ok, _, tx_id = submit_tx(net, txf.register("bob", "acme", "member"))
+    assert ok and step_until_quiescent(net, 100)
+    assert all(n.on_chain(tx_id) for n in net.nodes.values())
+
+
 @pytest.fixture
 def built_chain(genesis_file, txf):
     """A chain committed by a Network in this process, and a wrong memo entry for each block."""

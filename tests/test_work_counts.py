@@ -15,10 +15,11 @@ from rolechain.store import build_genesis_state
 from conftest import make_chain
 
 WRITES = 20
-# Ed25519 verifies per committed write: admission, the gossip broadcast's one
-# parse, and the proposer's selection, whose fold is its block's fold.
-VERIFIES_PER_TX = 3
-ENCODES_PER_TX = 81  # calls to codec.canonical_dumps
+# Ed25519 verifies per committed write: admission, whose verified tx is the
+# gossip broadcast's one parse, and the proposer's selection, whose fold is
+# its block's fold.
+VERIFIES_PER_TX = 2
+ENCODES_PER_TX = 80  # calls to codec.canonical_dumps
 EXECUTES_PER_TX = 1  # calls to state.execute_transaction
 # WorldState.clone calls per committed write: the proposer's selection fold.
 CLONES_PER_TX = 1
