@@ -14,6 +14,7 @@ vocabulary in :mod:`rolechain.errors` (contract codes plus ``Malformed``,
 from __future__ import annotations
 
 import json
+import os
 import re
 import threading
 from dataclasses import dataclass
@@ -22,7 +23,7 @@ from pathlib import Path
 from urllib.parse import parse_qs, urlparse
 
 from . import codec
-from .consensus import Network, submit_tx
+from .consensus import Network, NetworkConfig, restart, submit_tx
 # Writes pump with the bare loop, which builds no report (the bench launcher wraps this name).
 from .consensus import step_until_quiescent as run_until_quiescent
 from .errors import ReplayDivergence
@@ -38,9 +39,11 @@ from .state import (
     query_user,
     state_root,
 )
-from .store import Store, load_chain
+from .store import Store, build_genesis_state, chain_path, load_chain, load_genesis
+from .wallet import load_wallet
 
-DEFAULT_PUMP_TICKS = 400
+# Most ticks one write steps the network for before it answers, committed or not.
+PUMP_TICKS = 400
 # Largest accepted request body; a signed transaction is well under 2 KiB.
 MAX_BODY_BYTES = 64 * 1024
 # How often the serving thread checks for shutdown; stop() waits up to this.
@@ -75,32 +78,28 @@ class ServiceConfig:
 
     @classmethod
     def load(cls, path: str | Path | None, env: dict | None = None) -> "ServiceConfig":
-        import os
-
+        """The config in JSON file *path* (if any), each key overridden by its set variable."""
         env = os.environ if env is None else env
         data = json.loads(Path(path).read_text("utf-8")) if path else {}
         if not isinstance(data, dict):
             raise ValueError(f"service config {path} is not a JSON object")
-        cfg = cls(**{k: v for k, v in data.items() if k in cls.__dataclass_fields__})
-        for field_name, env_key in cls.ENV_KEYS.items():
-            if env.get(env_key):
-                setattr(cfg, field_name, env[env_key])
-        return cfg
+        values = {k: v for k, v in data.items() if k in cls.__dataclass_fields__}
+        values.update((k, env[var]) for k, var in cls.ENV_KEYS.items() if env.get(var))
+        for key, value in values.items():
+            if not isinstance(value, str):
+                raise ValueError(f"service config {key!r} must be a string, not {value!r}")
+        return cls(**values)
 
 
 class NodeHandle:
-    """One validator's view of the shared network, with a serialized write path."""
+    """One validator's view of the shared network, with a serialized write path.
+
+    Writes and reads take the network's one lock. With a *store*, every block
+    of the node's chain that the store lacks is written to it.
+    """
 
     def __init__(
-        self,
-        network: Network,
-        node_id: str,
-        *,
-        chain_id: str = "",
-        store: Store | None = None,
-        persisted_height: int = -1,
-        pump_ticks: int = DEFAULT_PUMP_TICKS,
-        lock: threading.Lock | None = None,
+        self, network: Network, node_id: str, *, chain_id: str = "", store: Store | None = None
     ):
         if node_id not in network.nodes:
             raise ValueError(f"{node_id} is not a validator of this network")
@@ -108,35 +107,27 @@ class NodeHandle:
         self.node_id = node_id
         self.chain_id = chain_id
         self.store = store
-        self.pump_ticks = pump_ticks
-        # Handles serving the same network must share one lock.
-        self.lock = lock if lock is not None else threading.Lock()
-        self._persisted_height = persisted_height
-        if store is not None:
-            self._persist_locked()
+        self._persist()
 
     @property
     def node(self):
         return self.network.nodes[self.node_id]
 
-    def _persist_locked(self) -> None:
-        if self.store is None:
-            return
-        for block in self.node.chain.blocks[self._persisted_height + 1:]:
-            self.store.append(block)
-            self._persisted_height = block.header.height
+    def _persist(self) -> None:
+        if self.store is not None:
+            self.store.extend(self.node.chain)
 
     def submit(self, tx: SignedTransaction) -> dict:
-        with self.lock:
+        with self.network.lock:
             accepted, reason, tx_id = submit_tx(self.network, tx, via=self.node_id)
             if not accepted:
                 raise ApiFailure(422, reason or "BadSignature", "transaction rejected")
             submitted_at = self.node.next_height
-            run_until_quiescent(self.network, self.pump_ticks)  # may end accepted, uncommitted
+            run_until_quiescent(self.network, PUMP_TICKS)  # may end accepted, uncommitted
             # Only a commit by this pump counts: a resubmitted tx already on chain gets None.
             height = self.network.tx_heights.get(tx_id, -1)
             committed_height = height if submitted_at <= height < self.node.next_height else None
-            self._persist_locked()
+            self._persist()
             return {
                 "accepted": True,
                 "tx_id": tx_id,
@@ -145,7 +136,7 @@ class NodeHandle:
             }
 
     def snapshot(self) -> tuple[int, WorldState, tuple]:
-        with self.lock:
+        with self.network.lock:
             node = self.node
             return node.next_height - 1, node.state, node.chain.blocks
 
@@ -376,12 +367,11 @@ class ApiServer:
         return self
 
     def stop(self) -> None:
-        if self._thread is not None:
-            self._httpd.shutdown()  # only meaningful once serve_forever is running
-        self._httpd.server_close()
-        if self._thread:
+        if self._thread is not None:  # shutdown() only returns once serve_forever is running
+            self._httpd.shutdown()
             self._thread.join(timeout=5)
             self._thread = None
+        self._httpd.server_close()
 
 
 def build_node_service(config: ServiceConfig) -> ApiServer:
@@ -392,11 +382,6 @@ def build_node_service(config: ServiceConfig) -> ApiServer:
     loaded and verified by one full replay, whose chain and post-state every
     replica then starts from.
     """
-    from .consensus import NetworkConfig
-    from .ledger import replay
-    from .store import build_genesis_state, chain_path, load_genesis
-    from .wallet import load_wallet
-
     genesis = load_genesis(config.genesis)
     genesis_state = build_genesis_state(genesis)
     node_key = load_wallet(config.node_key)
@@ -405,25 +390,10 @@ def build_node_service(config: ServiceConfig) -> ApiServer:
 
     network = Network(NetworkConfig(validators=list(genesis.validators)), genesis_state)
     store = Store(chain_path(config.data_dir))
-    persisted_height = -1
-    if store.path.stat().st_size > 0:
-        chain = load_chain(store)
+    if store.height is None:  # a stored chain: every replica starts from its audit
         try:
-            state = replay(genesis_state, chain)
+            restart(network, genesis_state, load_chain(store))
         except ReplayDivergence as exc:
             raise ValueError(f"stored chain fails verification at height {exc.height}: {exc}")
-        persisted_height = chain.height
-        # The chain is immutable and no replica mutates a state in place, so
-        # every replica can start from the one verified chain and state.
-        for node in network.nodes.values():
-            node.chain = chain
-            node.state = state
-        network.tx_heights.update(
-            (tx.tx_id, block.header.height) for block in chain.blocks for tx in block.transactions
-        )
-
-    handle = NodeHandle(
-        network, node_key.address, chain_id=genesis.chain_id,
-        store=store, persisted_height=persisted_height,
-    )
+    handle = NodeHandle(network, node_key.address, chain_id=genesis.chain_id, store=store)
     return ApiServer(handle, listen=config.listen)

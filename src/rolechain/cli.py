@@ -367,10 +367,7 @@ def sim_run(ctx: Ctx, scenario_file, report_path, dump_path):
         Path(report_path).write_text(json.dumps(result, indent=2, sort_keys=True) + "\n", "utf-8")
     if dump_path:
         Path(dump_path).unlink(missing_ok=True)
-        dump = Store(dump_path)
-        first = network.nodes[network.config.validators[0]]
-        for block in first.chain.blocks:
-            dump.append(block)
+        Store(dump_path).extend(network.nodes[network.config.validators[0]].chain)
     if ctx.output == "json":
         click.echo(json.dumps(result, sort_keys=True))
     else:

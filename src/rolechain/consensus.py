@@ -42,12 +42,13 @@ as a count and a running digest (``codec.DigestLog``).
 from __future__ import annotations
 
 import random
+import threading
 from dataclasses import dataclass, field
 
 from . import codec
 from .errors import ChainError, SimTimeout, TransactionError
 from .ledger import (
-    Block, BlockHeader, Chain, check_link, execute_block, hash_header, new_chain,
+    Block, BlockHeader, Chain, check_link, execute_block, hash_header, new_chain, replay,
     seal_block,
 )
 from .payloads import SignedTransaction
@@ -71,6 +72,12 @@ SYNC_REQUEST = "SyncRequest"
 SYNC_RESPONSE = "SyncResponse"
 
 
+def _require_ints(rule, *names: str) -> None:
+    """Refuse a fault rule whose field *name* (a tick or a node index) is not an exact int."""
+    for name in names:
+        codec.require_int(getattr(rule, name), f"{type(rule).__name__} {name}")
+
+
 @dataclass(frozen=True)
 class CrashRule:
     """Node is down for ticks in [from_tick, to_tick]; to_tick None = forever."""
@@ -78,6 +85,11 @@ class CrashRule:
     node: int
     from_tick: int
     to_tick: int | None = None
+
+    def __post_init__(self):
+        _require_ints(self, "node", "from_tick")
+        if self.to_tick is not None:
+            _require_ints(self, "to_tick")
 
     def active(self, tick: int) -> bool:
         return tick >= self.from_tick and (self.to_tick is None or tick <= self.to_tick)
@@ -93,6 +105,12 @@ class PartitionRule:
     from_tick: int
     to_tick: int
     groups: tuple[tuple[int, ...], ...]
+
+    def __post_init__(self):
+        object.__setattr__(self, "groups", tuple(map(tuple, self.groups)))
+        _require_ints(self, "from_tick", "to_tick")
+        for node in (i for group in self.groups for i in group):
+            codec.require_int(node, "PartitionRule group member")
 
     def active(self, tick: int) -> bool:
         return self.from_tick <= tick <= self.to_tick
@@ -113,6 +131,9 @@ class DropRule:
     from_tick: int
     to_tick: int
 
+    def __post_init__(self):
+        _require_ints(self, "src", "dst", "from_tick", "to_tick")
+
     def blocks(self, a: int, b: int, tick: int) -> bool:
         return a == self.src and b == self.dst and self.from_tick <= tick <= self.to_tick
 
@@ -124,6 +145,14 @@ class NetworkConfig:
     crash_rules: list[CrashRule] = field(default_factory=list)
     partition_rules: list[PartitionRule] = field(default_factory=list)
     drop_rules: list[DropRule] = field(default_factory=list)
+
+    def __post_init__(self):
+        named = [r.node for r in self.crash_rules]
+        named += [i for r in self.partition_rules for group in r.groups for i in group]
+        named += [i for r in self.drop_rules for i in (r.src, r.dst)]
+        for i in named:
+            if not 0 <= i < len(self.validators):
+                raise ValueError(f"a fault rule names node {i}, not a validator index")
 
     @property
     def quorum(self) -> int:
@@ -223,6 +252,8 @@ class Network:
         if not config.validators:
             raise ValueError("at least one validator is required")
         self.config = config
+        # Serializes the node service's writes and reads; the simulator never takes it.
+        self.lock = threading.Lock()
         self.tick = 0
         self.queue: list[Message] = []
         self.seq = 0
@@ -348,6 +379,24 @@ def step(network: Network) -> Network:
     return network
 
 
+def restart(network: Network, genesis_state: WorldState, chain: Chain) -> None:
+    """Start every replica from *chain*, audited by one full replay from *genesis_state*.
+
+    A failed audit raises ReplayDivergence and changes nothing. The replicas
+    share the one chain and post-state, which none of them mutates.
+    """
+    state = replay(genesis_state, chain)
+    for node in network.nodes.values():
+        node.chain, node.state = chain, state
+    for block in chain.blocks:
+        _index_txs(network, block)
+
+
+def _index_txs(network: Network, block: Block) -> None:
+    for tx in block.transactions:
+        network.tx_heights.setdefault(tx.tx_id, block.header.height)
+
+
 def _finalize(network: Network, node: ValidatorNode, block: Block, post: WorldState) -> None:
     # Take the chain and state objects of a peer that finalized this block
     # already (finality is unique, and equal roots mean equal states): only
@@ -364,8 +413,7 @@ def _finalize(network: Network, node: ValidatorNode, block: Block, post: WorldSt
         # _validate_proposal against the current tip, since finalizing
         # replaces the round, and a synced block is validated just before.
         chain = Chain(blocks=(*node.chain.blocks, block))
-        for tx in block.transactions:
-            node.tx_heights.setdefault(tx.tx_id, height)
+        _index_txs(network, block)
         network.executed = {k: v for k, v in network.executed.items() if v[0] > height}
     node.chain = chain
     node.state = post

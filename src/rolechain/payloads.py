@@ -123,7 +123,7 @@ class SignedTransaction(codec.Record):
 
     def __post_init__(self):
         codec.require_hex(self.sender, 20, "sender address")
-        if not isinstance(self.nonce, int) or self.nonce < 0:
+        if codec.require_int(self.nonce, "nonce") < 0:
             raise ValueError("nonce must be a non-negative integer")
 
     def signing_dict(self) -> dict:

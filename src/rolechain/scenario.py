@@ -132,14 +132,7 @@ def _parse_scenario(doc: dict) -> Scenario:
         validators=validators,
         rng_seed=net.get("rng_seed", 0),
         crash_rules=[CrashRule(**r) for r in net.get("crash_rules", [])],
-        partition_rules=[
-            PartitionRule(
-                from_tick=r["from_tick"],
-                to_tick=r["to_tick"],
-                groups=tuple(tuple(g) for g in r["groups"]),
-            )
-            for r in net.get("partition_rules", [])
-        ],
+        partition_rules=[PartitionRule(**r) for r in net.get("partition_rules", [])],
         drop_rules=[DropRule(**r) for r in net.get("drop_rules", [])],
     )
     workload = sorted(

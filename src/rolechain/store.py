@@ -87,7 +87,11 @@ def fsync_dir(path: Path) -> None:
 
 
 class Store:
-    """Append-only block file; one writer, crash-safe appends."""
+    """Append-only block file; one writer, crash-safe appends.
+
+    ``height`` is the height of the last block the file holds: -1 for an
+    empty file, None for a non-empty one until :func:`load_chain` reads it.
+    """
 
     def __init__(self, path: str | Path):
         self.path = Path(path)
@@ -96,6 +100,14 @@ class Store:
         self.path.touch(exist_ok=True)
         for entry in (self.path, *created):  # the file's entry, then each new directory's
             fsync_dir(entry.parent)
+        self.height: int | None = -1 if self.path.stat().st_size == 0 else None
+
+    def extend(self, chain: Chain) -> None:
+        """Append the blocks of *chain* above the last one this store holds."""
+        if self.height is None:
+            raise ValueError(f"{self.path} holds blocks not read yet; load its chain first")
+        for block in chain.blocks[self.height + 1:]:
+            self.append(block)
 
     def append(self, block: Block) -> None:
         block_dict = block.to_dict()
@@ -105,6 +117,7 @@ class Store:
             fh.write(line + "\n")
             fh.flush()
             os.fsync(fh.fileno())
+        self.height = block.header.height
 
 
 def _read_lines(path: Path) -> tuple[list[Block], int | None]:
@@ -162,7 +175,9 @@ def load_chain(store: Store) -> Chain:
         with open(store.path, "r+b") as fh:
             fh.truncate(good_bytes)
             os.fsync(fh.fileno())
-    return _as_chain(blocks)
+    chain = _as_chain(blocks)
+    store.height = chain.height
+    return chain
 
 
 # --- data directory conventions ---------------------------------------------

@@ -7,7 +7,6 @@ import os
 import random
 import subprocess
 import sys
-import threading
 import time
 
 import pytest
@@ -314,9 +313,8 @@ def test_acceptance_6_wallet_security(tmp_path, genesis_state, wallets):
 def test_acceptance_7_end_to_end_workflow_over_http(genesis_state, wallets):
     vals = [wallets[f"v{i}"].address for i in range(4)]
     network = Network(NetworkConfig(validators=vals, rng_seed=23), genesis_state)
-    lock = threading.Lock()
-    entry = ApiServer(NodeHandle(network, vals[0], chain_id="testnet", lock=lock)).start()
-    observer = ApiServer(NodeHandle(network, vals[3], chain_id="testnet", lock=lock)).start()
+    entry = ApiServer(NodeHandle(network, vals[0], chain_id="testnet")).start()
+    observer = ApiServer(NodeHandle(network, vals[3], chain_id="testnet")).start()
     txf = TxFactory(wallets)
     alice = wallets["alice"].address
 

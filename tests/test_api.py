@@ -30,10 +30,9 @@ def cluster(genesis_file, genesis_state, wallets):
     """Two HTTP servers fronting different validators of one 4-node network."""
     vals = list(genesis_file.validators)
     network = Network(NetworkConfig(validators=vals, rng_seed=77), genesis_state)
-    lock = threading.Lock()
     servers = [
-        ApiServer(NodeHandle(network, vals[0], chain_id="testnet", lock=lock)).start(),
-        ApiServer(NodeHandle(network, vals[2], chain_id="testnet", lock=lock)).start(),
+        ApiServer(NodeHandle(network, vals[0], chain_id="testnet")).start(),
+        ApiServer(NodeHandle(network, vals[2], chain_id="testnet")).start(),
     ]
     yield servers
     for s in servers:
@@ -207,6 +206,17 @@ def test_lone_surrogate_org_is_malformed_and_later_writes_commit(cluster, txf):
     assert resp.status_code == 202 and resp.json()["committed_height"] == 1
 
 
+def test_a_boolean_nonce_is_malformed_and_later_writes_commit(cluster, txf, wallets):
+    s0, _ = cluster
+    payload = txf.register("bob", "acme", "member").payload.to_dict()
+    doc = _signed_doc(wallets["bob"], True, payload)
+    resp = requests.post(s0.url + "/v1/transactions", data=json.dumps(doc), timeout=30)
+    assert resp.status_code == 400 and resp.json()["code"] == "Malformed"
+    assert "nonce" in resp.json()["message"]
+    resp = _post_tx(s0, txf.register("alice", "acme", "member"))
+    assert resp.status_code == 202 and resp.json()["committed_height"] == 1
+
+
 def test_float_org_is_malformed(cluster, txf):
     s0, _ = cluster
     doc = txf.register("bob", "acme", "member").to_dict()
@@ -333,10 +343,13 @@ def test_submit_builds_no_consensus_report(cluster, txf, monkeypatch):
         assert resp.json()["committed_height"] == height
 
 
-def test_submit_out_of_pump_budget_is_accepted_uncommitted(genesis_file, genesis_state, txf):
+def test_submit_out_of_pump_budget_is_accepted_uncommitted(
+    genesis_file, genesis_state, txf, monkeypatch
+):
+    monkeypatch.setattr(api, "PUMP_TICKS", 1)
     vals = list(genesis_file.validators)
     network = Network(NetworkConfig(validators=vals, rng_seed=77), genesis_state)
-    handle = NodeHandle(network, vals[0], chain_id="testnet", pump_ticks=1)
+    handle = NodeHandle(network, vals[0], chain_id="testnet")
     result = handle.submit(txf.register("alice", "acme", "member"))
     assert result["accepted"] and result["committed_height"] is None
     assert result["node_height"] == 0
@@ -371,6 +384,44 @@ def test_service_config_env_overrides(tmp_path):
     cfg = ServiceConfig.load(path, env={"ROLECHAIN_LISTEN": "127.0.0.1:2"})
     assert cfg.listen == "127.0.0.1:2"
     assert cfg.data_dir == str(tmp_path)
+
+
+@pytest.mark.parametrize("key, value", [
+    ("listen", 8545), ("data_dir", 5), ("node_key", 7), ("genesis", None),
+])
+def test_service_config_refuses_a_value_that_is_not_a_string(tmp_path, key, value):
+    path = tmp_path / "svc.json"
+    path.write_text(json.dumps({key: value}), "utf-8")
+    with pytest.raises(ValueError, match=f"'{key}' must be a string"):
+        ServiceConfig.load(path, env={})
+
+
+def test_handles_on_one_network_share_its_lock(genesis_file, genesis_state):
+    vals = list(genesis_file.validators)
+    network = Network(NetworkConfig(validators=vals, rng_seed=77), genesis_state)
+    handles = [NodeHandle(network, v, chain_id="testnet") for v in vals[:2]]
+    done = []
+    with network.lock:
+        readers = [threading.Thread(target=lambda h=h: done.append(h.snapshot())) for h in handles]
+        for reader in readers:
+            reader.start()
+        for reader in readers:
+            reader.join(timeout=0.2)
+        assert done == []  # both wait for the one lock
+    for reader in readers:
+        reader.join(timeout=5)
+    assert len(done) == 2
+
+
+def test_a_handle_refuses_a_stored_chain_it_has_not_read(tmp_path, genesis_file, genesis_state):
+    path = tmp_path / "chain.jsonl"
+    Store(path).append(genesis_block(genesis_state))
+    before = path.read_bytes()
+    vals = list(genesis_file.validators)
+    network = Network(NetworkConfig(validators=vals, rng_seed=77), genesis_state)
+    with pytest.raises(ValueError, match="not read"):
+        NodeHandle(network, vals[0], chain_id="testnet", store=Store(path))
+    assert path.read_bytes() == before
 
 
 def test_build_node_service_boots_and_persists(tmp_path, genesis_file, genesis_state, wallets, txf):

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import io
 import json
 import os
@@ -255,6 +256,21 @@ def test_sim_run_and_chain_verify_round_trip(runner, tmp_path):
     assert failure["ok"] is False and failure["height"] <= 2
 
 
+def test_sim_run_dump_chain_bytes_are_pinned(runner, tmp_path):
+    scenario_path = tmp_path / "scenario.json"
+    scenario_path.write_text(json.dumps(BASE), "utf-8")
+    dump_path = tmp_path / "chain.jsonl"
+    for _ in range(2):  # the second run replaces the first dump
+        r = runner.invoke(main, ["sim", "run", str(scenario_path), "--dump-chain", str(dump_path)],
+                          env=_env(tmp_path))
+        assert r.exit_code == 0, r.output
+        raw = dump_path.read_bytes()
+        assert raw.count(b"\n") == 4
+        assert hashlib.sha256(raw).hexdigest() == (
+            "979a201ce3fde04ad060eee55aaae38b8e0813121d1c35b74ec5b5a58286a847"
+        )
+
+
 def test_chain_verify_with_tip_anchor(runner, tmp_path):
     scenario_path = tmp_path / "scenario.json"
     scenario_path.write_text(json.dumps(BASE), "utf-8")
@@ -437,6 +453,8 @@ def probe_files(tmp_path, genesis_file, genesis_state, wallets):
             "genesis": files[name], "node_key": files["wallet"],
         })
     write("svc-list", [{"listen": "127.0.0.1:0"}])
+    for key, value in (("listen", 8545), ("data_dir", 5), ("node_key", 7), ("genesis", None)):
+        write(f"svc-{key}-not-str", {key: value})
     write("scenario-no-validators", {k: v for k, v in BASE.items() if k != "validators"})
     for name, edit in (
         ("float-max-holders", lambda sc: sc["orgs"][0]["role_catalog"]["member"].update(
@@ -445,6 +463,12 @@ def probe_files(tmp_path, genesis_file, genesis_state, wallets):
             self_assignable="false")),
         ("float-max-ticks", lambda sc: sc.update(max_ticks=300.0)),
         ("float-tick", lambda sc: sc["workload"][0].update(tick=1.0)),
+        ("crash-node-9", lambda sc: sc["network"].update(
+            crash_rules=[{"node": 9, "from_tick": 0}])),
+        ("crash-str-node", lambda sc: sc["network"].update(
+            crash_rules=[{"node": "1", "from_tick": 0}])),
+        ("crash-str-tick", lambda sc: sc["network"].update(
+            crash_rules=[{"node": 1, "from_tick": "0"}])),
     ):
         scenario = json.loads(json.dumps(BASE))
         edit(scenario)
@@ -475,6 +499,8 @@ _PROBES = {
         "node serve --config {svc-genesis-no-chain-id}", None, 3, "chain_id"),
     "serve-genesis-list": ("node serve --config {svc-genesis-list}", None, 3, "GenesisFile"),
     "serve-config-list": ("node serve --config {svc-list}", None, 3, "not a JSON object"),
+    **{f"serve-{key}-not-str": (f"node serve --config {{svc-{key}-not-str}}", None, 3, repr(key))
+       for key in ("listen", "data_dir", "node_key", "genesis")},
     "show-wallet-no-key": (
         "wallet show --path {wallet-no-key}", None, 3, "enc_private_key"),
     "register-wallet-no-key": (
@@ -493,6 +519,9 @@ _PROBES = {
         "sim run {scenario-str-self-assignable}", None, 3, "self_assignable"),
     "sim-float-max-ticks": ("sim run {scenario-float-max-ticks}", None, 3, "max_ticks"),
     "sim-float-tick": ("sim run {scenario-float-tick}", None, 3, "tick"),
+    "sim-crash-node-9": ("sim run {scenario-crash-node-9}", None, 3, "names node 9"),
+    "sim-crash-str-node": ("sim run {scenario-crash-str-node}", None, 3, "CrashRule node"),
+    "sim-crash-str-tick": ("sim run {scenario-crash-str-tick}", None, 3, "CrashRule from_tick"),
     "config-list": ("--config {config-list} wallet show", None, 2, "not a JSON object"),
     "seed-hex-not-hex": ("wallet create --seed-hex zz --path {wallet}.new", None, 2, "hex"),
 }

@@ -107,3 +107,25 @@ def test_a_workload_item_enters_at_its_via_validator():
     assert sc.workload[0].via == sc.config.validators[2]
     _, report = run_scenario(sc)
     assert report["quiescent"] and all(s["accepted"] for s in report["submissions"])
+
+
+@pytest.mark.parametrize("rules, text", [
+    ({"crash_rules": [{"node": "1", "from_tick": 0}]}, "CrashRule node"),
+    ({"crash_rules": [{"node": 9, "from_tick": 0}]}, "names node 9"),
+    ({"crash_rules": [{"node": 1, "from_tick": "0"}]}, "CrashRule from_tick"),
+    ({"crash_rules": [{"node": 1, "from_tick": 0, "to_tick": 5.0}]}, "CrashRule to_tick"),
+    ({"crash_rules": [{"node": True, "from_tick": 0}]}, "CrashRule node"),
+    ({"partition_rules": [{"from_tick": 0, "to_tick": 9, "groups": [[0, "1"], [2, 3]]}]},
+     "PartitionRule group member"),
+    ({"partition_rules": [{"from_tick": 0, "to_tick": 9, "groups": [[0, 1], [2, 4]]}]},
+     "names node 4"),
+    ({"partition_rules": [{"from_tick": 0, "to_tick": None, "groups": [[0, 1]]}]},
+     "PartitionRule to_tick"),
+    ({"drop_rules": [{"src": 0, "dst": -1, "from_tick": 0, "to_tick": 9}]}, "names node -1"),
+    ({"drop_rules": [{"src": 0, "dst": 1, "from_tick": 0, "to_tick": "9"}]}, "DropRule to_tick"),
+])
+def test_a_bad_fault_rule_is_refused_at_load(rules, text):
+    doc = json.loads(json.dumps(BASE))
+    doc["network"].update(rules)
+    with pytest.raises(ValueError, match=re.escape(text)):
+        load_scenario(doc)

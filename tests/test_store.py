@@ -7,6 +7,7 @@ import pytest
 
 from rolechain import codec
 from rolechain.errors import CorruptStore
+from rolechain.ledger import Chain
 from rolechain.store import (
     GenesisFile,
     Store as open_store,
@@ -206,3 +207,22 @@ def test_each_durable_change_is_fsynced(tmp_path, chain10, wallets, monkeypatch,
     else:
         assert len(load_chain(store)) == len(chain10)
         assert synced == [(False, os.stat(store.path).st_ino)]
+
+
+def test_the_store_tracks_the_height_it_holds(tmp_path, chain10):
+    path = tmp_path / "chain.jsonl"
+    fresh = open_store(path)
+    assert fresh.height == -1
+    fresh.extend(Chain(blocks=chain10.blocks[:4]))
+    assert fresh.height == 3
+    fresh.extend(chain10)  # only the blocks above height 3
+    assert fresh.height == 10 and load_chain(open_store(path)) == chain10
+
+    reopened = open_store(path)
+    assert reopened.height is None
+    with pytest.raises(ValueError, match="not read"):
+        reopened.extend(chain10)
+    assert load_chain(reopened) == chain10 and reopened.height == 10
+    before = path.read_bytes()
+    reopened.extend(chain10)
+    assert path.read_bytes() == before
