@@ -276,11 +276,8 @@ class Network:
         }
         # Ticks at which connectivity changes back: every node announces its
         # tip then, standing in for a transport-level reconnect handshake.
-        self.handshake_ticks = {r.to_tick + 1 for r in config.partition_rules}
-        self.handshake_ticks |= {r.to_tick + 1 for r in config.drop_rules}
-        self.handshake_ticks |= {
-            r.to_tick + 1 for r in config.crash_rules if r.to_tick is not None
-        }
+        rules = (*config.partition_rules, *config.drop_rules, *config.crash_rules)
+        self.handshake_ticks = {r.to_tick + 1 for r in rules if r.to_tick is not None}
 
     # --- fault model -------------------------------------------------------
 

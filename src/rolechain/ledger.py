@@ -38,14 +38,13 @@ class BlockHeader(codec.Record):
     timestamp: int
 
     def __post_init__(self):
-        if self.height < 0:
+        if codec.require_int(self.height, "height") < 0:
             raise ValueError("height must be non-negative")
         codec.require_hex(self.prev_hash, 32, "prev_hash")
         codec.require_hex(self.tx_root, 32, "tx_root")
         codec.require_hex(self.state_root, 32, "state_root")
         codec.require_hex(self.proposer, 20, "proposer")
-        if not isinstance(self.timestamp, int):
-            raise ValueError("timestamp must be an integer tick")
+        codec.require_int(self.timestamp, "timestamp")
 
 
 @dataclass(frozen=True)

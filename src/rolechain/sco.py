@@ -3,7 +3,8 @@
 Grants and revocations are admin-signed transactions and always emit one
 event. ``check_permission`` is a pure read over committed state — it is how
 services ask "may this user do this here, right now" without touching the
-chain.
+chain. It tests each role of the (user, org) → roles index (``state._UraSet``)
+against ``pra``, so it never scans a relation.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from .state import (
     Event,
     Permission,
     WorldState,
+    roles_held,
 )
 
 
@@ -80,9 +82,6 @@ def check_permission(
     Unknown users or orgs simply yield a negative answer; a query is never an
     error and is never recorded.
     """
-    via = frozenset(
-        role
-        for u, o, role in state.ura
-        if u == user and o == org and (org, role, permission) in state.pra
-    )
+    held = roles_held(state, user, org)
+    via = frozenset(role for role in held if (org, role, permission) in state.pra)
     return PermissionCheck(granted=bool(via), via_roles=via)

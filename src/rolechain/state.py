@@ -20,7 +20,9 @@ raises instead), and a text is a pure function of its key and value.
 
 Two relations carry the access-control model:
 
-* ``ura`` — (user address, org id, role id): who holds which role where.
+* ``ura`` — (user address, org id, role id): who holds which role where. It
+  also keeps two read indexes, (user, org) → roles and (org, role) → holder
+  count, which nothing hashed reads.
 * ``pra`` — (org id, role id, permission): what each role may do.
 """
 
@@ -219,9 +221,50 @@ class _LoggedSet(set):
     symmetric_difference_update = __ior__ = __iand__ = __isub__ = __ixor__ = _unlogged
 
 
+class _UraSet(_LoggedSet):
+    """The ``ura`` relation, with two read indexes kept on every add and remove.
+
+    ``roles`` maps (user, org) to the tuple of roles held there, and
+    ``holders`` maps (org, role) to its holder count. Index values are
+    immutable, so a copy of another ``_UraSet`` (a clone) copies its two
+    dicts shallowly, as it copies the set, and never rebuilds them; a
+    relation assigned whole builds them in one pass. An entry is overwritten,
+    never deleted, so a key whose last role or holder went stays, holding
+    ``()`` or 0: CPython copies a dict that has a deleted slot entry by
+    entry, several times slower than one without.
+    """
+
+    __slots__ = ("roles", "holders")
+
+    def __init__(self, items, log: dict):
+        super().__init__(items, log)
+        if isinstance(items, _UraSet):
+            self.roles, self.holders = dict(items.roles), dict(items.holders)
+        else:
+            self.roles, self.holders = {}, {}
+            for member in self:
+                self._index(member, 1)
+
+    def add(self, member):
+        if member not in self:
+            set.add(self, member)
+            self.log[member] = member
+            self._index(member, 1)
+
+    def remove(self, member):
+        super().remove(member)
+        self._index(member, -1)
+
+    def _index(self, member: tuple, step: int) -> None:
+        user, org, role = member
+        held = self.roles.get((user, org), ())
+        self.roles[user, org] = held + (role,) if step > 0 else tuple(r for r in held if r != role)
+        self.holders[org, role] = self.holders.get((org, role), 0) + step
+
+
 # The relations in the key order of to_dict(), which is the preimage's order.
 _RELATIONS = ("nonces", "orgs", "pra", "ura", "users")
-_SETS = ("pra", "ura")
+_SETS = {"pra": _LoggedSet, "ura": _UraSet}
 
 
 @dataclass
@@ -243,14 +286,14 @@ class WorldState:
         # A relation assigned whole becomes a logged container with every
         # entry logged, so its first root encodes it through the one path.
         if name in _SETS:
-            value = _LoggedSet(value, dict(zip(value, value)))
+            value = _SETS[name](value, dict(zip(value, value)))
         elif name in _RELATIONS:
             value = _LoggedDict(value, dict(value))
         object.__setattr__(self, name, value)
 
     def clone(self) -> "WorldState":
-        # Records are immutable, so container-level copies are enough. The
-        # logs are read before _fragments, as state_root requires.
+        # Records and index values are immutable, so container-level copies are
+        # enough. The logs are read before _fragments, as state_root requires.
         logs = [dict(getattr(self, name).log) for name in _RELATIONS]
         new = object.__new__(WorldState)
         new._fragments = self._fragments
@@ -371,7 +414,11 @@ def state_root(state: WorldState) -> str:
 
 
 def role_holder_count(state: WorldState, org: str, role: str) -> int:
-    return sum(1 for _, o, r in state.ura if o == org and r == role)
+    return state.ura.holders.get((org, role), 0)
+
+
+def roles_held(state: WorldState, user: str, org: str) -> tuple[str, ...]:
+    return state.ura.roles.get((user, org), ())
 
 
 def expected_nonce(state: WorldState, sender: str) -> int:
@@ -430,9 +477,5 @@ def query_user(state: WorldState, addr: str) -> UserRecord | None:
 
 def query_roles(state: WorldState, addr: str) -> dict[str, set[str]]:
     """All org → role-set pairs in which *addr* currently holds roles."""
-    out: dict[str, set[str]] = {}
-    for user, org, role in state.ura:
-        if user == addr:
-            out.setdefault(org, set()).add(role)
-    return out
+    return {org: set(held) for org in state.orgs if (held := roles_held(state, addr, org))}
 

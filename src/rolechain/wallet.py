@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import os
 import tempfile
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from . import codec, keys
@@ -102,13 +102,7 @@ def sign_transaction(
         sender=sender, nonce=nonce, payload=payload, public_key=wallet.public_key, signature="0" * 128
     )
     signature = keys.sign(signing_key, unsigned.signing_bytes())
-    return SignedTransaction(
-        sender=sender,
-        nonce=nonce,
-        payload=payload,
-        public_key=wallet.public_key,
-        signature=signature.hex(),
-    )
+    return replace(unsigned, signature=signature.hex())
 
 
 def verify_signature(tx: SignedTransaction, public_key: bytes | str) -> bool:

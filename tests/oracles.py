@@ -3,15 +3,17 @@
 Everything here is deliberately primitive — plain tuples, sets, and loops,
 sharing no code with the modules under test — so agreement between the two
 sides actually means something. Two exceptions: ``check_integrity``, a
-full-scan invariant check that reuses the program's address derivation and
-holder count, and ``on_a_copy``, the adapter through which tests call a
-contract handler directly.
+full-scan invariant check that reuses the program's address derivation, and
+``on_a_copy``, the adapter through which tests call a contract handler
+directly.
 """
 
 from __future__ import annotations
 
+from collections import Counter
+
 from rolechain import keys
-from rolechain.state import Permission, WorldState, role_holder_count
+from rolechain.state import Permission, WorldState
 
 
 def on_a_copy(handler):
@@ -260,11 +262,13 @@ def check_integrity(state: WorldState) -> None:
             raise ValueError(f"pra references role {role!r} missing from org {org}")
         if not isinstance(permission, Permission):
             raise ValueError("pra entry does not hold a Permission")
+    # Counted from the relation itself, not from the index the program keeps.
+    holders = Counter((org, role) for _, org, role in state.ura)
     for org, rec in state.orgs.items():
         policy = rec.role_catalog
         for role, p in policy.items():
             if p.max_holders is not None:
-                held = role_holder_count(state, org, role)
+                held = holders[org, role]
                 if held > p.max_holders:
                     raise ValueError(f"role {org}/{role} over capacity: {held}")
     for addr, record in state.users.items():
