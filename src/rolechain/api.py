@@ -388,7 +388,8 @@ def build_node_service(config: ServiceConfig) -> ApiServer:
     if node_key.address not in genesis.validators:
         raise ValueError(f"node key {node_key.address} is not a genesis validator")
 
-    network = Network(NetworkConfig(validators=list(genesis.validators)), genesis_state)
+    network_config = NetworkConfig(validators=list(genesis.validators))
+    network = Network(network_config, genesis_state, trace_digest=False)  # it builds no report
     store = Store(chain_path(config.data_dir))
     if store.height is None:  # a stored chain: every replica starts from its audit
         try:

@@ -71,23 +71,29 @@ class DigestLog(list):
     values, and ``len(log)`` is their count, but no value is retained: the
     list itself stays empty, so iterating it yields nothing and indexing it
     fails. It stays a ``list`` for readers of the list of values it replaced.
+    A log made with ``keep_digest=False`` only counts: it encodes nothing,
+    and ``digest(log)`` raises rather than return a digest of nothing.
     """
 
-    def __init__(self):
+    def __init__(self, keep_digest: bool = True):
         super().__init__()
+        self.keep_digest = keep_digest
         self._sha = hashlib.sha256(b"[")
         self._count = 0
 
     def append(self, value: Any) -> None:
-        if self._count:
-            self._sha.update(b",")
-        self._sha.update(canonical_bytes(value))
+        if self.keep_digest:
+            if self._count:
+                self._sha.update(b",")
+            self._sha.update(canonical_bytes(value))
         self._count += 1
 
     def __len__(self) -> int:
         return self._count
 
     def hexdigest(self) -> str:
+        if not self.keep_digest:
+            raise ValueError("this log keeps only a count, not a digest")
         sha = self._sha.copy()
         sha.update(b"]")
         return sha.hexdigest()

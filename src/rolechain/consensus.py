@@ -30,13 +30,16 @@ of scope, per the trusted-validator setting):
   finalize a height appends the block and prunes the table up to it; the
   others take its chain and state. Audits and cold-start replay re-execute
   every block. The recipients of one broadcast share one parse of its body
-  (``Message.parse``, which for a transaction includes its envelope check).
+  (``Message.parse``, which for a transaction includes its envelope check);
+  a sender seeds that parse with the tx, or the block and header hash, it
+  holds, and every recipient still runs its own checks on it.
 
 Everything is a pure function of (config, workload, seed): messages carry a
 global sequence number and deliver in (tick, sender, sequence) order, and
 per-message latency comes from one seeded RNG. Two runs with equal inputs
-produce byte-identical message traces and reports. The trace is kept only
-as a count and a running digest (``codec.DigestLog``).
+produce byte-identical message traces and reports. The trace is kept as a
+count and, unless ``trace_digest=False`` (a serving node), a running digest
+(``codec.DigestLog``).
 """
 
 from __future__ import annotations
@@ -248,7 +251,9 @@ class ValidatorNode:
 class Network:
     """The simulated validator set plus its in-flight messages."""
 
-    def __init__(self, config: NetworkConfig, genesis_state: WorldState):
+    def __init__(
+        self, config: NetworkConfig, genesis_state: WorldState, *, trace_digest: bool = True
+    ):
         if not config.validators:
             raise ValueError("at least one validator is required")
         self.config = config
@@ -258,8 +263,8 @@ class Network:
         self.queue: list[Message] = []
         self.seq = 0
         self.rng = random.Random(config.rng_seed)
-        # Message fingerprints, kept only as their count and running digest.
-        self.trace = codec.DigestLog()
+        # Message fingerprints, kept only as their count and (if traced) running digest.
+        self.trace = codec.DigestLog(keep_digest=trace_digest)
         # Committed height of every tx id. Finality is unique, so every
         # replica shares this one index: a tx is on a replica's chain iff its
         # height is below the replica's next height.
@@ -362,7 +367,7 @@ def step(network: Network) -> Network:
             continue
         if not network.link_open(msg.sender, msg.recipient, tick):
             continue
-        network.trace.append(msg.fingerprint())
+        network.trace.append(msg.fingerprint() if network.trace.keep_digest else None)
         _handle(network, network.nodes[msg.recipient], msg)
 
     announce = tick in network.handshake_ticks
@@ -473,6 +478,11 @@ def _carried_block(body: dict) -> tuple[Block, str]:
 
 def _carried_hash(body: dict) -> str:
     return hash_header(BlockHeader.from_dict(body["block"]["header"]))
+
+
+def _carried(block: Block, block_hash: str) -> dict:
+    """The shared parses of a body that carries *block*, seeded from its sender's copy."""
+    return {_carried_block: ((block, block_hash), None), _carried_hash: (block_hash, None)}
 
 
 def _handle(network: Network, node: ValidatorNode, msg: Message) -> None:
@@ -611,6 +621,7 @@ def _check_tallies(network: Network, node: ValidatorNode) -> None:
                         "block_hash": block_hash,
                         "block": block.to_dict(),
                     },
+                    _carried(block, block_hash),
                 )
 
     for block_hash, committers in sorted(rnd.commit_tally.items()):
@@ -641,13 +652,15 @@ def _local_actions(network: Network, node: ValidatorNode) -> None:
         return
 
     if rnd.lock is not None and rnd.lock in rnd.proposals:
-        block = rnd.proposals[rnd.lock][0]
+        block_hash = rnd.lock
+        block = rnd.proposals[block_hash][0]
     else:
         txs, post, events = _select_txs(node)
         if not txs:
             return
         block = seal_block(node.chain.tip.header, txs, post, events, node.id, network.tick)
-        network.executed[hash_header(block.header)] = (height, post, block.events)
+        block_hash = hash_header(block.header)
+        network.executed[block_hash] = (height, post, block.events)
     rnd.proposed.add(rnd.view)
     network.broadcast(
         PROPOSAL, node.id,
@@ -657,6 +670,7 @@ def _local_actions(network: Network, node: ValidatorNode) -> None:
             "proposer": node.id,
             "block": block.to_dict(),
         },
+        _carried(block, block_hash),
     )
 
 

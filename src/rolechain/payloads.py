@@ -134,4 +134,8 @@ class SignedTransaction(codec.Record):
 
     @property
     def tx_id(self) -> str:
-        return codec.digest(self.to_dict())
+        # Hashed once per object. The cache sits in the instance dict, not in a
+        # field, so equality, the wire form and dataclasses.replace ignore it.
+        if "_tx_id" not in self.__dict__:
+            self.__dict__["_tx_id"] = codec.digest(self.to_dict())
+        return self.__dict__["_tx_id"]

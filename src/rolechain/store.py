@@ -126,9 +126,10 @@ def _read_lines(path: Path) -> tuple[list[Block], int | None]:
     A line must frame one block, match its CRC and hold height i at line i;
     whether the blocks link and replay is the audit's job (``ledger.replay``).
     An append is durable only once its full line, newline included, hit the
-    disk. A final segment without its newline, or one that fails to parse,
-    is a torn write: it is left out with a warning (the length is None when
-    nothing is torn). Damage earlier raises CorruptStore with its height.
+    disk. A final segment without its newline, or one that fails to parse or
+    to match its CRC, is a torn write: it is left out with a warning (the
+    length is None when nothing is torn). Damage earlier, or a line that
+    matches its CRC but holds no block, raises CorruptStore with its height.
     """
     segments = path.read_bytes().split(b"\n")
     torn_tail = segments[-1] != b""  # a clean file always ends with a newline
@@ -138,15 +139,17 @@ def _read_lines(path: Path) -> tuple[list[Block], int | None]:
     blocks: list[Block] = []
     for i, segment in enumerate(segments):
         last = i == len(segments) - 1
+        whole = False  # newline-framed JSON under its CRC: written whole, so durable
         try:
             if last and torn_tail:
                 raise ValueError("no trailing newline")
             doc = json.loads(segment.decode("utf-8"))
             if doc["crc32"] != f"{zlib.crc32(codec.canonical_bytes(doc['block'])):08x}":
                 raise ValueError("crc mismatch")
+            whole = True
             block = Block.from_dict(doc["block"])
         except (ValueError, KeyError, TypeError) as exc:
-            if last:
+            if last and not whole:
                 logger.warning("leaving out torn final line %d of %s (%s)", i, path, exc)
                 return blocks, sum(len(s) + 1 for s in segments[:i])
             raise CorruptStore(i, f"store line {i} unreadable: {exc}") from exc

@@ -309,6 +309,69 @@ def test_run_until_quiescent_report_is_pinned(vals, genesis_state, wallets, sche
     assert codec.digest(report) == report_digest
 
 
+def _write_stream(txf):
+    """A fixed stream of every payload kind, with the entry node of each write."""
+    return [
+        (txf.register("alice", "acme", "member"), 0),
+        (txf.register("bob", "acme", "contractor"), 1),
+        (txf.grant("admin_acme", "acme", "member", "ledger", "read"), 2),
+        (txf.register("carol", "globex", "member"), 3),
+        (txf.update("admin_acme", "alice", "acme", "member", "auditor"), 0),
+        (txf.grant("admin_globex", "globex", "member", "api", "exec"), 1),
+        (txf.revoke("admin_acme", "acme", "member", "ledger", "read"), 2),
+        (txf.register("dave", "acme", "member"), 3),
+    ]
+
+
+@pytest.mark.parametrize("schedule", ["clean", "faults"])
+def test_a_network_without_the_trace_digest_commits_the_same_chain(
+    vals, genesis_state, wallets, monkeypatch, schedule
+):
+    """Differential: only the trace digest differs between the two networks, and it is refused."""
+    from conftest import TxFactory
+    from rolechain.consensus import Message
+    from rolechain.ledger import hash_header
+
+    faults = {}
+    if schedule == "faults":
+        faults = {
+            "partition_rules": [PartitionRule(from_tick=5, to_tick=25, groups=((0, 1), (2, 3)))],
+            "crash_rules": [CrashRule(node=3, from_tick=30, to_tick=45)],
+        }
+
+    def run(trace_digest):
+        net = Network(
+            NetworkConfig(validators=vals, rng_seed=21, **faults), genesis_state,
+            trace_digest=trace_digest,
+        )
+        for tx, entry in _write_stream(TxFactory(wallets)):
+            assert submit_tx(net, tx, via=vals[entry])[0]
+            step(net)
+        assert step_until_quiescent(net, 400)
+        nodes = [net.nodes[v] for v in vals]
+        return net, [
+            (n.next_height, state_root(n.state), hash_header(n.chain.tip.header)) for n in nodes
+        ]
+
+    def refused(msg):
+        raise AssertionError("an untraced network took a message fingerprint")
+
+    traced, kept = run(True)
+    with monkeypatch.context() as patch:
+        patch.setattr(Message, "fingerprint", refused)
+        untraced, counted = run(False)
+    assert counted == kept
+    writes = len(_write_stream(TxFactory(wallets)))
+    assert len(untraced.tx_heights) == len(traced.tx_heights) == writes
+    assert len(untraced.trace) == len(traced.trace) > 0
+    assert isinstance(untraced.trace, list)
+    with pytest.raises(ValueError, match="only a count"):
+        codec.digest(untraced.trace)
+    with pytest.raises(ValueError, match="only a count"):
+        run_until_quiescent(untraced, 1)  # its report would need the digest
+    assert codec.digest(traced.trace) == run_until_quiescent(traced, 1)["trace_digest"]
+
+
 def test_step_until_quiescent_says_whether_it_got_there(vals, genesis_state, txf):
     net = _network(vals, genesis_state, rng_seed=7)
     assert step_until_quiescent(net, 0)  # idle: nothing to do

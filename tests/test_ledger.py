@@ -378,13 +378,9 @@ def test_a_boolean_height_or_timestamp_is_refused(genesis_state, wallets, tmp_pa
     assert exc.value.height == 1
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="store._read_lines takes a complete, CRC-valid final line that fails to decode "
-    "for a torn write and leaves it out (FOUND in CHANGES.md)",
-)
 @pytest.mark.parametrize("fields", BOOLEAN_FIELDS)
 def test_a_boolean_header_on_the_final_store_line_is_refused(genesis_state, wallets, tmp_path, fields):
+    """A whole final line under a matching CRC is durable: it is refused, never cut as torn."""
     from rolechain.errors import CorruptStore
     from rolechain.store import read_chain
 

@@ -2,9 +2,9 @@
 
 The recipients of one broadcast share the block or transaction parsed from
 its body (both are frozen), and a body that fails to parse is refused by
-every recipient. A serving node keeps the message trace only as a count and
-a running digest, so a write that does not grow the state retains little
-beyond its block, however many messages it took.
+every recipient. A network keeps the message trace only as a count and a
+running digest (a serving node's only as a count), so a write that does not
+grow the state retains little beyond its block, however many messages it took.
 """
 
 import dataclasses

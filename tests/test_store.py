@@ -2,6 +2,7 @@ import json
 import os
 import random
 import stat
+import zlib
 
 import pytest
 
@@ -119,6 +120,22 @@ def test_crc_catches_content_swap_with_valid_json(tmp_path, chain10):
     with pytest.raises(CorruptStore) as exc:
         load_chain(open_store(store.path))
     assert exc.value.height == 4
+
+
+def test_a_whole_final_line_that_holds_no_block_is_refused_not_truncated(tmp_path, chain10):
+    """Its newline and matching CRC show it was written whole, so it is no torn write."""
+    store = _write(tmp_path, chain10)
+    lines = store.path.read_bytes().split(b"\n")
+    doc = json.loads(lines[-2])
+    del doc["block"]["events"]  # JSON and CRC stay valid; the block does not decode
+    doc["crc32"] = f"{zlib.crc32(codec.canonical_bytes(doc['block'])):08x}"
+    lines[-2] = codec.canonical_dumps(doc).encode()
+    store.path.write_bytes(b"\n".join(lines))
+    before = store.path.read_bytes()
+    with pytest.raises(CorruptStore) as exc:
+        load_chain(open_store(store.path))
+    assert exc.value.height == len(chain10) - 1
+    assert store.path.read_bytes() == before
 
 
 def test_empty_store_is_corrupt(tmp_path):

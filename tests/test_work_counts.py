@@ -1,16 +1,20 @@
-"""Work per committed write on one fixed in-process run, and copies per fold.
+"""Work per committed write on fixed in-process runs, and copies per fold.
 
 Twenty grants, each committed by its own pump, on a 4-validator network with
-a fixed seed. The counts are deterministic, so each bound below is the count
-measured on this run, and any extra verify or encode on the replication path
-fails here without any timing noise.
+a fixed seed: once on a traced network, as the simulator runs, and once
+through a node service's ``NodeHandle``. The counts are deterministic, so
+each bound below is the count measured on its run, and any extra verify or
+encode on the replication path fails here without any timing noise.
 """
 
+import sys
 from collections import Counter
 
-from rolechain import codec, consensus, keys, ledger, state
+from rolechain import codec, consensus, keys, ledger, payloads, state
+from rolechain.api import ServiceConfig, build_node_service
 from rolechain.consensus import Network, NetworkConfig, step_until_quiescent, submit_tx
-from rolechain.store import build_genesis_state
+from rolechain.store import build_genesis_state, save_genesis
+from rolechain.wallet import save_wallet
 
 from conftest import make_chain
 
@@ -19,13 +23,21 @@ WRITES = 20
 # gossip broadcast's one parse, and the proposer's selection, whose fold is
 # its block's fold.
 VERIFIES_PER_TX = 2
-ENCODES_PER_TX = 80  # calls to codec.canonical_dumps
+# Calls to codec.canonical_dumps: 1,322 on this run, 1,002 of them for the trace
+# digest (one per delivered message, 801, and one body digest per broadcast).
+ENCODES_PER_TX = 66.1
+# Calls to codec.digest made by SignedTransaction.tx_id: each tx object hashes
+# its id once, and every replica holds the objects its sender parsed.
+TX_ID_DIGESTS_PER_TX = 1
 EXECUTES_PER_TX = 1  # calls to state.execute_transaction
 # WorldState.clone calls per committed write: the proposer's selection fold.
 CLONES_PER_TX = 1
 # Block link checks per committed write: one per replica's validation; the
 # finalizer extends its chain without checking the link again.
 CHECK_LINKS_PER_TX = 4
+# Encodes per NodeHandle.submit on a node service, whose network keeps no trace
+# digest: 16 on the replication path plus the store line's 2.
+ENCODES_PER_NODE_WRITE = 18
 
 
 def _counter(monkeypatch):
@@ -41,13 +53,31 @@ def _counter(monkeypatch):
     return counts, counting
 
 
+def _count_encodes(monkeypatch, counts):
+    """Count canonical encodes, and the digests that ``SignedTransaction.tx_id`` takes."""
+    encode, digest = codec.canonical_dumps, codec.digest
+    tx_id_code = payloads.SignedTransaction.tx_id.fget.__code__
+
+    def counted_encode(obj):
+        counts["encode"] += 1
+        return encode(obj)
+
+    def counted_digest(obj):
+        if sys._getframe(1).f_code is tx_id_code:
+            counts["tx_id digest"] += 1
+        return digest(obj)
+
+    monkeypatch.setattr(codec, "canonical_dumps", counted_encode)
+    monkeypatch.setattr(codec, "digest", counted_digest)
+
+
 def test_work_per_committed_write_stays_within_the_measured_counts(genesis_file, txf, monkeypatch):
     vals = list(genesis_file.validators)
     net = Network(NetworkConfig(validators=vals, rng_seed=3), build_genesis_state(genesis_file))
     txs = [txf.grant("admin_acme", "acme", "member", f"res{i}", "read") for i in range(WRITES)]
     counts, counting = _counter(monkeypatch)
     monkeypatch.setattr(keys, "verify", counting("verify", keys.verify))
-    monkeypatch.setattr(codec, "canonical_dumps", counting("encode", codec.canonical_dumps))
+    _count_encodes(monkeypatch, counts)
     execute = counting("execute", state.execute_transaction)
     for module in (state, consensus, ledger):
         monkeypatch.setattr(module, "execute_transaction", execute)
@@ -61,9 +91,36 @@ def test_work_per_committed_write_stays_within_the_measured_counts(genesis_file,
     assert all(node.next_height == WRITES + 1 for node in net.nodes.values())
     assert counts["verify"] <= VERIFIES_PER_TX * WRITES
     assert counts["encode"] <= ENCODES_PER_TX * WRITES
+    assert counts["tx_id digest"] <= TX_ID_DIGESTS_PER_TX * WRITES
     assert counts["execute"] <= EXECUTES_PER_TX * WRITES
     assert counts["check_link"] <= CHECK_LINKS_PER_TX * WRITES
     assert counts["clone"] <= CLONES_PER_TX * WRITES
+
+
+def test_encodes_per_node_write_stay_within_the_measured_count(
+    genesis_file, wallets, txf, tmp_path, monkeypatch
+):
+    """The network is built by ``build_node_service``, so it keeps only a message count."""
+    save_genesis(genesis_file, tmp_path / "genesis.json")
+    save_wallet(wallets["v0"], tmp_path / "node_key.json")
+    server = build_node_service(ServiceConfig(
+        listen="127.0.0.1:0",
+        data_dir=str(tmp_path / "node0"),
+        genesis=str(tmp_path / "genesis.json"),
+        node_key=str(tmp_path / "node_key.json"),
+    ))
+    try:
+        handle = server.handle
+        txs = [txf.grant("admin_acme", "acme", "member", f"res{i}", "read") for i in range(WRITES)]
+        counts = Counter()
+        _count_encodes(monkeypatch, counts)
+        for tx in txs:
+            assert handle.submit(tx)["committed_height"] is not None
+    finally:
+        server.stop()
+    assert handle.store.height == WRITES and len(handle.network.trace) > 0
+    assert counts["encode"] <= ENCODES_PER_NODE_WRITE * WRITES
+    assert counts["tx_id digest"] <= TX_ID_DIGESTS_PER_TX * WRITES
 
 
 def test_a_cold_start_replay_copies_once_per_block(genesis_state, wallets, txf, monkeypatch):
