@@ -5,14 +5,17 @@ of scope, per the trusted-validator setting):
 
 * Round-robin proposer per (height, view): ``validators[(h + v) mod N]``.
   A view times out after a fixed number of ticks without progress, rotating
-  the proposer past crashed or partitioned nodes.
-* Two vote phases. Nodes broadcast a ``vote`` for the first valid proposal
-  they see in a view. On a quorum of votes (⌊2N/3⌋+1) a node locks on the
-  block and broadcasts a ``commit`` carrying it. On a quorum of commits the
-  block is final — instantly and forever; there are no forks to resolve.
-  Locks make finality unique: once a quorum has locked a block at a height,
-  no other block can gather a vote quorum there, because locked nodes vote
-  only for their lock until the height commits.
+  the proposer past crashed or partitioned nodes. A proposal, vote or commit
+  from a later view at the replica's height moves it to that view and
+  restarts its timer (Tendermint's round skip; one message is enough, since
+  validators do not equivocate).
+* Three rules, each applied to the replica's current view only, with quorum
+  ⌊2N/3⌋+1: vote once for the view's proposal (only for the lock, if the
+  replica holds one); on a vote quorum, commit-vote once and lock the block;
+  on a commit quorum, finalize. Safety is the lock argument: a commit quorum
+  in view v means a quorum locked the block in v, and every vote quorum of
+  a later view shares a member with it, who votes only for its lock, so no
+  other block gathers votes there and none can be finalized at the height.
 * Transactions enter through any node and gossip to every reachable peer;
   voters also adopt the transactions of valid proposals, so any block that
   gathered votes can be re-proposed by whoever becomes proposer next.
@@ -209,17 +212,14 @@ class Round:
 
     view: int = 0
     entered: int = 0                                    # tick the current view began
-    proposed: set = field(default_factory=set)          # views proposed
-    voted: set = field(default_factory=set)             # views voted
-    commit_sent: set = field(default_factory=set)       # views commit-voted
-    vote_tally: dict = field(default_factory=dict)      # (view, hash) -> set of voters
-    commit_tally: dict = field(default_factory=dict)    # hash -> set of committers
+    sent: set = field(default_factory=set)              # (kind, view) of each message sent
+    tally: dict = field(default_factory=dict)           # (kind, view, hash) -> set of senders
     proposals: dict = field(default_factory=dict)       # hash -> (Block, post_state)
     proposal_views: dict = field(default_factory=dict)  # view -> hash
     lock: str | None = None                             # hash of locked block
 
     def pending(self) -> bool:
-        return bool(self.lock or self.proposals or self.vote_tally or self.commit_tally)
+        return bool(self.lock or self.proposals or self.tally)
 
 
 @dataclass
@@ -272,6 +272,8 @@ class Network:
         # Header hash -> (height, post-state, events) of every block some
         # replica built or executed above the finalized height.
         self.executed: dict[str, tuple[int, WorldState, tuple[Event, ...]]] = {}
+        # Validator id -> its index, the name the fault rules use.
+        self._index = {v: i for i, v in enumerate(config.validators)}
         self.nodes: dict[str, ValidatorNode] = {
             v: ValidatorNode(
                 id=v, chain=new_chain(genesis_state), state=genesis_state,
@@ -286,15 +288,12 @@ class Network:
 
     # --- fault model -------------------------------------------------------
 
-    def _index(self, node_id: str) -> int:
-        return self.config.validators.index(node_id)
-
     def crashed(self, node_id: str, tick: int) -> bool:
-        idx = self._index(node_id)
+        idx = self._index[node_id]
         return any(r.node == idx and r.active(tick) for r in self.config.crash_rules)
 
     def link_open(self, sender: str, recipient: str, tick: int) -> bool:
-        a, b = self._index(sender), self._index(recipient)
+        a, b = self._index[sender], self._index[recipient]
         for rule in self.config.partition_rules:
             if rule.active(tick) and rule.blocks(a, b):
                 return False
@@ -536,97 +535,68 @@ def _handle(network: Network, node: ValidatorNode, msg: Message) -> None:
             _send_blocks(network, node, msg.sender, height)
         return
 
+    view = body["view"]
+    if view > rnd.view:  # round skip: a later view's message moves the replica there
+        rnd.view, rnd.entered = view, network.tick
     if kind == PROPOSAL:
-        view = body["view"]
         if body["proposer"] != network.proposer_for(height, view):
             return
-        try:
-            block, block_hash = msg.parse(_carried_block)
-        except (ValueError, KeyError):
+        block_hash = _learn(network, node, msg)
+        if block_hash is None:
             return
-        if block_hash not in rnd.proposals:
-            post = _validate_proposal(network, node, block, block_hash)
-            if post is None:
-                return
-            rnd.proposals[block_hash] = (block, post)
-            for tx in block.transactions:
-                # Adopt the proposal's transactions so a later proposer can
-                # rebuild an equivalent block if this one stalls.
-                node.admit(tx, network.tick)
         rnd.proposal_views[view] = block_hash
-        _vote_if_possible(network, node)
-        _check_tallies(network, node)
-        return
-
-    if kind == VOTE:
-        key = (body["view"], body["block_hash"])
-        rnd.vote_tally.setdefault(key, set()).add(msg.sender)
-        _check_tallies(network, node)
-        return
-
-    if kind == COMMIT:
-        # A commit counts only for the block it carries.
-        try:
-            block_hash = msg.parse(_carried_hash)
-        except (ValueError, KeyError):
-            return
-        if block_hash != body["block_hash"]:
-            return
-        rnd.commit_tally.setdefault(block_hash, set()).add(msg.sender)
-        if block_hash not in rnd.proposals:
+    else:
+        block_hash = body["block_hash"]
+        if kind == COMMIT:
+            # A commit counts for the block whose header it carries, before
+            # that block validates.
             try:
-                block, _ = msg.parse(_carried_block)
+                if msg.parse(_carried_hash) != block_hash:
+                    return
             except (ValueError, KeyError):
                 return
-            post = _validate_proposal(network, node, block, block_hash)
-            if post is not None:
-                rnd.proposals[block_hash] = (block, post)
-        _check_tallies(network, node)
-        return
+        rnd.tally.setdefault((kind, view, block_hash), set()).add(msg.sender)
+        if kind == COMMIT:
+            _learn(network, node, msg)
+    _advance(network, node)
 
 
-def _vote_if_possible(network: Network, node: ValidatorNode) -> None:
-    """Cast the one vote this node may make in its current view, if any."""
+def _learn(network: Network, node: ValidatorNode, msg: Message) -> str | None:
+    """The header hash of the block *msg* carries, once that block is valid in the round."""
+    try:
+        block, block_hash = msg.parse(_carried_block)
+    except (ValueError, KeyError):
+        return None
     rnd = node.round
-    if rnd.view in rnd.voted:
-        return
-    block_hash = rnd.proposal_views.get(rnd.view)
-    if block_hash is None or block_hash not in rnd.proposals:
-        return
-    if rnd.lock is not None and rnd.lock != block_hash:
-        return
-    rnd.voted.add(rnd.view)
-    network.broadcast(
-        VOTE, node.id,
-        {"height": node.next_height, "view": rnd.view, "block_hash": block_hash},
-    )
+    if block_hash not in rnd.proposals:
+        post = _validate_proposal(network, node, block, block_hash)
+        if post is None:
+            return None
+        rnd.proposals[block_hash] = (block, post)
+        for tx in block.transactions:
+            # Adopt the block's transactions so a later proposer can rebuild
+            # an equivalent block if this one stalls.
+            node.admit(tx, network.tick)
+    return block_hash
 
 
-def _check_tallies(network: Network, node: ValidatorNode) -> None:
-    """Fire phase transitions enabled by the tallies gathered so far."""
+def _advance(network: Network, node: ValidatorNode) -> None:
+    """Apply the vote, commit-vote and finalize rules to the node's current view."""
     quorum, rnd = network.config.quorum, node.round
-
-    for (view, block_hash), voters in sorted(
-        rnd.vote_tally.items(), key=lambda kv: (kv[0][0], kv[0][1])
-    ):
-        if len(voters) >= quorum and block_hash in rnd.proposals:
-            if view not in rnd.commit_sent:
-                rnd.commit_sent.add(view)
-                rnd.lock = block_hash
-                block, _ = rnd.proposals[block_hash]
-                network.broadcast(
-                    COMMIT, node.id,
-                    {
-                        "height": node.next_height,
-                        "block_hash": block_hash,
-                        "block": block.to_dict(),
-                    },
-                    _carried(block, block_hash),
-                )
-
-    for block_hash, committers in sorted(rnd.commit_tally.items()):
-        if len(committers) >= quorum and block_hash in rnd.proposals:
-            block, post = rnd.proposals[block_hash]
+    view, height = rnd.view, node.next_height
+    proposal = rnd.proposal_views.get(view)
+    if (VOTE, view) not in rnd.sent and proposal in rnd.proposals and rnd.lock in (None, proposal):
+        rnd.sent.add((VOTE, view))
+        network.broadcast(VOTE, node.id, {"height": height, "view": view, "block_hash": proposal})
+    for block_hash, (block, post) in sorted(rnd.proposals.items()):
+        votes, commits = (len(rnd.tally.get((k, view, block_hash), ())) for k in (VOTE, COMMIT))
+        if votes >= quorum and (COMMIT, view) not in rnd.sent:
+            rnd.sent.add((COMMIT, view))
+            rnd.lock = block_hash
+            body = {"height": height, "view": view, "block_hash": block_hash,
+                    "block": block.to_dict()}
+            network.broadcast(COMMIT, node.id, body, _carried(block, block_hash))
+        if commits >= quorum:
             _finalize(network, node, block, post)
             return
 
@@ -644,14 +614,11 @@ def _local_actions(network: Network, node: ValidatorNode) -> None:
     if (node.mempool or rnd.pending()) and network.tick - rnd.entered >= VIEW_TIMEOUT_TICKS:
         rnd.view += 1
         rnd.entered = network.tick
-        _vote_if_possible(network, node)
 
-    if network.proposer_for(height, rnd.view) != node.id:
-        return
-    if rnd.view in rnd.proposed:
+    if network.proposer_for(height, rnd.view) != node.id or (PROPOSAL, rnd.view) in rnd.sent:
         return
 
-    if rnd.lock is not None and rnd.lock in rnd.proposals:
+    if rnd.lock is not None:  # a lock is always one of the round's proposals
         block_hash = rnd.lock
         block = rnd.proposals[block_hash][0]
     else:
@@ -661,7 +628,7 @@ def _local_actions(network: Network, node: ValidatorNode) -> None:
         block = seal_block(node.chain.tip.header, txs, post, events, node.id, network.tick)
         block_hash = hash_header(block.header)
         network.executed[block_hash] = (height, post, block.events)
-    rnd.proposed.add(rnd.view)
+    rnd.sent.add((PROPOSAL, rnd.view))
     network.broadcast(
         PROPOSAL, node.id,
         {

@@ -6,6 +6,7 @@ import hashlib
 
 import pytest
 
+from rolechain.consensus import COMMIT, Network
 from rolechain.ledger import Chain, append_block, build_block, new_chain
 from rolechain.payloads import (
     GrantPermissionPayload,
@@ -143,3 +144,25 @@ def make_chain(genesis_state: WorldState, txs, proposer: str, per_block: int = 3
             state, _ = apply_transaction(state, tx, height=block.header.height, tx_index=i)
         chain = append_block(chain, block)
     return chain
+
+
+def watch_commit_votes(monkeypatch) -> dict:
+    """Wrap ``Network.broadcast`` to record every COMMIT, by (sender, height, view).
+
+    A replica that commit-votes a second block in one (height, view) fails
+    the run at that broadcast. Returns the record.
+    """
+    commit_votes: dict[tuple[str, int, int], str] = {}
+    broadcast = Network.broadcast
+
+    def recording(network, kind, sender, body, parsed=None):
+        if kind == COMMIT:
+            key = (sender, body["height"], body["view"])
+            first = commit_votes.setdefault(key, body["block_hash"])
+            assert first == body["block_hash"], (
+                f"{sender} commit-voted two blocks at height {key[1]} view {key[2]}"
+            )
+        broadcast(network, kind, sender, body, parsed)
+
+    monkeypatch.setattr(Network, "broadcast", recording)
+    return commit_votes

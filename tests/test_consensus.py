@@ -4,11 +4,16 @@ import pytest
 
 from rolechain import codec
 from rolechain.consensus import (
+    COMMIT,
+    PROPOSAL,
+    VOTE,
     CrashRule,
     DropRule,
+    Message,
     Network,
     NetworkConfig,
     PartitionRule,
+    _handle,
     quiescent,
     run_until_quiescent,
     step,
@@ -16,7 +21,9 @@ from rolechain.consensus import (
     submit_tx,
 )
 from rolechain.errors import API_ERROR_CODES, SimTimeout
+from rolechain.ledger import build_block, hash_header
 from rolechain.state import state_root
+from rolechain.store import build_genesis_state
 
 # Measured once on the reference run (seed 7, N=4, fault-free): the commit
 # lands at tick 7. Pinned with headroom for other seeds' latency draws.
@@ -195,10 +202,16 @@ def test_drop_rule_blocks_directed_link(vals, genesis_state, txf):
     assert tx.tx_id not in net.nodes[vals[3]].mempool
 
 
-def test_consensus_safety_no_conflicting_commits_each_tick(vals, genesis_state, wallets):
-    """Byte-identical committed blocks at every height, checked at every tick."""
-    from conftest import TxFactory
+def test_consensus_safety_no_conflicting_commits_each_tick(
+    vals, genesis_state, wallets, monkeypatch
+):
+    """Byte-identical committed blocks at every height, checked at every tick.
 
+    No replica commit-votes two blocks in one (height, view) either.
+    """
+    from conftest import TxFactory, watch_commit_votes
+
+    commit_votes = watch_commit_votes(monkeypatch)
     txf = TxFactory(wallets)
     net = _network(
         vals, genesis_state, rng_seed=12,
@@ -226,6 +239,7 @@ def test_consensus_safety_no_conflicting_commits_each_tick(vals, genesis_state, 
         for height, variants in by_height.items():
             assert len(variants) == 1, f"conflicting commits at height {height}"
     report = run_until_quiescent(net, 300)
+    assert commit_votes  # the watch saw the run's commit votes
     assert len({i["height"] for i in report["nodes"].values()}) == 1
     assert len({i["state_root"] for i in report["nodes"].values()}) == 1
     assert sorted(e["kind"] for e in report["committed_events"]) == sorted([
@@ -249,15 +263,80 @@ def test_commit_whose_block_is_not_the_claimed_one_is_dropped(vals, genesis_file
 
     def commit_from_each_peer(block):
         for seq, sender in enumerate(vals[1:]):
-            body = {"height": 1, "block_hash": claimed, "block": block.to_dict()}
+            body = {"height": 1, "view": 0, "block_hash": claimed, "block": block.to_dict()}
             _handle(net, node, Message(COMMIT, sender, node.id, body, net.tick, seq))
 
     commit_from_each_peer(other)
     assert node.chain.height == 0
-    assert node.round.proposals == {} and node.round.commit_tally == {}
+    assert node.round.proposals == {} and node.round.tally == {}
 
     commit_from_each_peer(honest)
     assert node.chain.height == 1 and node.chain.tip == honest
+
+
+class _Replica:
+    """Replica 0 of a fresh network, fed hand-made height-1 messages; two blocks it can hold."""
+
+    def __init__(self, vals, genesis_file, txf):
+        self.net = _network(vals, build_genesis_state(genesis_file))
+        self.node = self.net.nodes[vals[0]]
+        self.vals = vals
+        tip, state = self.node.chain.tip.header, self.node.state
+        self.a = build_block(tip, [txf.register("alice", "acme", "member")], state, vals[1], 1)
+        self.b = build_block(tip, [txf.register("bob", "acme", "member")], state, vals[2], 1)
+
+    def deliver(self, kind, sender, body):
+        self.net.seq += 1
+        _handle(self.net, self.node, Message(
+            kind, sender, self.node.id, {"height": 1, **body}, self.net.tick, self.net.seq,
+        ))
+
+    def propose(self, block, view):
+        proposer = self.net.proposer_for(1, view)
+        self.deliver(PROPOSAL, proposer, {"view": view, "proposer": proposer,
+                                          "block": block.to_dict()})
+
+    def quorum(self, kind, block, view):
+        body = {"view": view, "block_hash": hash_header(block.header)}
+        if kind == COMMIT:
+            body["block"] = block.to_dict()
+        for sender in self.vals[1:]:
+            self.deliver(kind, sender, body)
+
+    def sent(self):
+        """(kind, view, block hash) of each vote and commit vote the replica sent, in order."""
+        return [
+            (m.kind, m.body["view"], m.body["block_hash"])
+            for m in self.net.queue
+            if m.sender == m.recipient == self.node.id and m.kind in (VOTE, COMMIT)
+        ]
+
+
+def test_each_rule_acts_on_the_replica_current_view_only(vals, genesis_file, txf):
+    r = _Replica(vals, genesis_file, txf)
+    a, b = hash_header(r.a.header), hash_header(r.b.header)
+    r.propose(r.a, 0)
+    r.propose(r.b, 1)  # round skip: the replica moves to view 1
+    assert r.node.round.view == 1
+    r.quorum(VOTE, r.a, 0)  # a vote quorum in a view it has left
+    r.quorum(COMMIT, r.a, 0)  # and a commit quorum there
+    assert r.sent() == [(VOTE, 0, a), (VOTE, 1, b)] and r.node.chain.height == 0
+    r.quorum(VOTE, r.b, 1)
+    assert r.sent()[-1] == (COMMIT, 1, b) and r.node.round.lock == b
+    r.quorum(COMMIT, r.b, 1)
+    assert r.node.chain.height == 1 and r.node.chain.tip == r.b
+
+
+def test_a_locked_replica_votes_only_for_its_lock(vals, genesis_file, txf):
+    r = _Replica(vals, genesis_file, txf)
+    a, b = hash_header(r.a.header), hash_header(r.b.header)
+    r.propose(r.a, 0)
+    r.quorum(VOTE, r.a, 0)
+    assert r.node.round.lock == a
+    r.propose(r.b, 1)
+    r.propose(r.a, 2)
+    assert r.sent() == [(VOTE, 0, a), (COMMIT, 0, a), (VOTE, 2, a)]
+    assert r.node.round.view == 2 and b in r.node.round.proposals
 
 
 def test_determinism_identical_trace_and_report(vals, genesis_state, wallets):
@@ -277,13 +356,13 @@ def test_determinism_identical_trace_and_report(vals, genesis_state, wallets):
     assert r1 == r2
 
 
-# Reports and trace digests of the runs below, recorded when the stepping loop
-# was split out of run_until_quiescent; any change to either is a regression.
+# Reports and trace digests of the runs below; any change to either is a
+# regression.
 PINNED_REPORTS = {
-    "clean": (11, "8b2f1bd9e07735c4ec587d187433e3f856218ba435c6ddf9bd41f9ca5bbc7a9d",
-              "0fcd124074093dd6f8b4a5b6e10c65b23d0ff72bfc1e0cae23bd8a8d1d35c150"),
-    "faults": (49, "1085375edfe4d449a0076c79c19bd0fefc82741120dfe95c52bd7ae43d75a31a",
-               "14ad8740686042c994c08035ae7778195f4a6b005e4b5dc88a359fefcd42d2da"),
+    "clean": (11, "54a3685d475545bea644da6df21072f6a4ae7ef132a28180c8a1bd97fe6d6939",
+              "234d1bca3142fb770450d0a59d690ab3252b70bb29c106b41d4eccff91f95d12"),
+    "faults": (50, "0c3e363662e7c3de44868860d02f31e679db10703846cec5be60702e6fc27546",
+               "5e1adceb4d6f91aa5380943a0c65bc91c768e9ab075f1ed2b615c209dc7fa170"),
 }
 
 

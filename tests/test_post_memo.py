@@ -174,7 +174,7 @@ def test_altered_body_under_a_memoized_header_is_refused(genesis_file, txf, kind
     if kind == PROPOSAL:
         body = {"height": 1, "view": 0, "proposer": proposer, "block": bad.to_dict()}
     else:
-        body = {"height": 1, "block_hash": block_hash, "block": bad.to_dict()}
+        body = {"height": 1, "view": 0, "block_hash": block_hash, "block": bad.to_dict()}
     _deliver(net, node, kind, proposer, body)
     assert node.round.proposals == {}
     assert _votes_from(net, node.id) == []
@@ -198,18 +198,18 @@ def test_commit_that_does_not_decode_is_refused_and_a_later_tx_commits(
         node.chain.tip.header, [txf.register("alice", "acme", "member")], node.state, vals[1], 1
     )
     block_hash = hash_header(block.header)
-    body = {"height": 1, "block_hash": block_hash, "block": block.to_dict()}
+    body = {"height": 1, "view": 0, "block_hash": block_hash, "block": block.to_dict()}
     if breakage == "header does not decode":
         body["block"]["header"]["state_root"] = "zz" * 32
         counted = {}
     else:
         body["block"]["events"] = None  # the header still hashes to block_hash
-        counted = {block_hash: {vals[1]}}
+        counted = {(COMMIT, 0, block_hash): {vals[1]}}
     net.seq += 1
     net.queue.append(Message(COMMIT, vals[1], node.id, body, net.tick + 1, net.seq))
     step(net)  # raised nothing
     # The commit counts for the block whose header it carries, but no replica holds it.
-    assert node.round.commit_tally == counted and node.round.proposals == {}
+    assert node.round.tally == counted and node.round.proposals == {}
     assert node.chain.height == 0 and node.mempool == {}
 
     ok, _, tx_id = submit_tx(net, txf.register("bob", "acme", "member"))
