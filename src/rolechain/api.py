@@ -192,7 +192,7 @@ class _Handler(BaseHTTPRequestHandler):
                 doc = json.loads(raw)
                 codec.canonical_bytes(doc)  # UnicodeEncodeError on a lone surrogate
                 tx = SignedTransaction.from_dict(doc)
-            except (ValueError, TypeError) as exc:  # TypeError: a float
+            except (ValueError, TypeError, RecursionError) as exc:  # a float; too deep
                 return self._error(400, "Malformed", f"body is not a transaction: {exc}")
             try:
                 result = self.handle_ref.submit(tx)
@@ -258,7 +258,7 @@ class _Handler(BaseHTTPRequestHandler):
             "height": height,
             "user": user,
             "org": params["org"],
-            "permission": permission.to_dict(),
+            "permission": permission,
         })
         self._reply(200, body)
 

@@ -88,7 +88,7 @@ class Ctx:
         tx = sign_transaction(wallet, _passphrase(), wallet.address, nonce, payload)
         result = self._request(
             "POST", "/v1/transactions",
-            data=codec.canonical_dumps(tx.to_dict()), headers={"Content-Type": "application/json"},
+            data=codec.canonical_dumps(tx), headers={"Content-Type": "application/json"},
         )
         committed = result.get("committed_height")
         where = f"committed at height {committed}" if committed is not None else "pending"
@@ -121,7 +121,7 @@ class _Main(click.Group):
             raise
         except RoleChainError as exc:
             message = f"error [{exc.code}]: {exc}"
-        except (OSError, ValueError) as exc:
+        except (OSError, ValueError, RecursionError) as exc:
             message = f"error: {exc}"
         click.echo(message, err=True)
         sys.exit(EXIT_API_ERROR)

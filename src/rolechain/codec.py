@@ -5,7 +5,10 @@ of :func:`canonical_bytes`: UTF-8, object keys sorted lexicographically, no
 insignificant whitespace, integers in decimal, binary values as lowercase hex
 strings. Floats are rejected outright (their textual form is not portable).
 Two logically equal objects therefore always produce identical bytes, on any
-machine, in any process.
+machine, in any process. Every encode takes one walk, :func:`to_wire`, which
+builds the wire form of a value or a record (``digest(header)`` takes the
+record as it is) and refuses floats and non-string keys as it goes. A header
+hash, like a tx id, is then computed once per object and kept on it.
 """
 
 from __future__ import annotations
@@ -23,24 +26,10 @@ ZERO_ADDRESS = "0" * 40
 _HEX_RE = re.compile("[0-9a-f]*")
 
 
-def _reject_floats(obj: Any) -> None:
-    if isinstance(obj, float):
-        raise TypeError("floats are not allowed in canonical JSON")
-    if isinstance(obj, dict):
-        for k, v in obj.items():
-            if not isinstance(k, str):
-                raise TypeError(f"non-string key in canonical JSON: {k!r}")
-            _reject_floats(v)
-    elif isinstance(obj, (list, tuple)):
-        for v in obj:
-            _reject_floats(v)
-
-
 def canonical_dumps(obj: Any) -> str:
-    """Serialize to the canonical JSON string form."""
-    _reject_floats(obj)
+    """Serialize a value or a record to the canonical JSON string form."""
     return json.dumps(
-        obj,
+        to_wire(obj),
         sort_keys=True,
         separators=(",", ":"),
         ensure_ascii=False,
@@ -150,17 +139,22 @@ _SCALARS = frozenset({str, int, bool, type(None)})
 
 
 def to_wire(value: Any) -> Any:
-    """The wire form of a field value; a scalar (or a float, which encoding refuses) passes."""
+    """The wire form of *value*; a float or a non-string key raises TypeError."""
     if type(value) in _SCALARS:
         return value
     if isinstance(value, Record):
         return value.to_dict()
     if isinstance(value, (tuple, list)):
         return [to_wire(v) for v in value]
-    if isinstance(value, frozenset):
-        return sorted(value)
     if isinstance(value, dict):
+        for k in value:
+            if not isinstance(k, str):
+                raise TypeError(f"non-string key in canonical JSON: {k!r}")
         return {k: to_wire(v) for k, v in value.items()}
+    if isinstance(value, frozenset):
+        return [to_wire(v) for v in sorted(value)]
+    if isinstance(value, float):
+        raise TypeError("floats are not allowed in canonical JSON")
     return value
 
 

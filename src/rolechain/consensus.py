@@ -34,8 +34,8 @@ of scope, per the trusted-validator setting):
   others take its chain and state. Audits and cold-start replay re-execute
   every block. The recipients of one broadcast share one parse of its body
   (``Message.parse``, which for a transaction includes its envelope check);
-  a sender seeds that parse with the tx, or the block and header hash, it
-  holds, and every recipient still runs its own checks on it.
+  a sender seeds that parse with the tx, or the block, it holds, and every
+  recipient still runs its own checks on it.
 
 Everything is a pure function of (config, workload, seed): messages carry a
 global sequence number and deliver in (tick, sender, sequence) order, and
@@ -423,11 +423,9 @@ def _finalize(network: Network, node: ValidatorNode, block: Block, post: WorldSt
     _select_txs(node, limit=len(node.mempool))
 
 
-def _validate_proposal(
-    network: Network, node: ValidatorNode, block: Block, block_hash: str
-) -> WorldState | None:
-    """The post-state of *block* (whose header hashes to *block_hash*) on *node*, or None."""
-    known = network.executed.get(block_hash)
+def _validate_proposal(network: Network, node: ValidatorNode, block: Block) -> WorldState | None:
+    """The post-state of *block* on *node*, or None."""
+    known = network.executed.get(hash_header(block.header))
     try:
         check_link(node.chain.tip.header, block)
         if known is None:
@@ -437,13 +435,13 @@ def _validate_proposal(
     if known is not None:
         _, post, events = known
         return post if block.events == events else None
-    network.executed[block_hash] = (block.header.height, post, block.events)
+    network.executed[hash_header(block.header)] = (block.header.height, post, block.events)
     return post
 
 
 def _adopt_block(network: Network, node: ValidatorNode, block: Block) -> bool:
     """Validate and finalize a block learned through sync."""
-    post = _validate_proposal(network, node, block, hash_header(block.header))
+    post = _validate_proposal(network, node, block)
     if post is None:
         return False
     _finalize(network, node, block, post)
@@ -470,18 +468,17 @@ def _gossiped_tx(body: dict) -> SignedTransaction:
     return tx
 
 
-def _carried_block(body: dict) -> tuple[Block, str]:
-    block = Block.from_dict(body["block"])
-    return block, hash_header(block.header)
+def _carried_block(body: dict) -> Block:
+    return Block.from_dict(body["block"])
 
 
 def _carried_hash(body: dict) -> str:
     return hash_header(BlockHeader.from_dict(body["block"]["header"]))
 
 
-def _carried(block: Block, block_hash: str) -> dict:
+def _carried(block: Block) -> dict:
     """The shared parses of a body that carries *block*, seeded from its sender's copy."""
-    return {_carried_block: ((block, block_hash), None), _carried_hash: (block_hash, None)}
+    return {_carried_block: (block, None), _carried_hash: (hash_header(block.header), None)}
 
 
 def _handle(network: Network, node: ValidatorNode, msg: Message) -> None:
@@ -564,12 +561,12 @@ def _handle(network: Network, node: ValidatorNode, msg: Message) -> None:
 def _learn(network: Network, node: ValidatorNode, msg: Message) -> str | None:
     """The header hash of the block *msg* carries, once that block is valid in the round."""
     try:
-        block, block_hash = msg.parse(_carried_block)
+        block = msg.parse(_carried_block)
     except (ValueError, KeyError):
         return None
-    rnd = node.round
+    rnd, block_hash = node.round, hash_header(block.header)
     if block_hash not in rnd.proposals:
-        post = _validate_proposal(network, node, block, block_hash)
+        post = _validate_proposal(network, node, block)
         if post is None:
             return None
         rnd.proposals[block_hash] = (block, post)
@@ -595,7 +592,7 @@ def _advance(network: Network, node: ValidatorNode) -> None:
             rnd.lock = block_hash
             body = {"height": height, "view": view, "block_hash": block_hash,
                     "block": block.to_dict()}
-            network.broadcast(COMMIT, node.id, body, _carried(block, block_hash))
+            network.broadcast(COMMIT, node.id, body, _carried(block))
         if commits >= quorum:
             _finalize(network, node, block, post)
             return
@@ -619,15 +616,13 @@ def _local_actions(network: Network, node: ValidatorNode) -> None:
         return
 
     if rnd.lock is not None:  # a lock is always one of the round's proposals
-        block_hash = rnd.lock
-        block = rnd.proposals[block_hash][0]
+        block = rnd.proposals[rnd.lock][0]
     else:
         txs, post, events = _select_txs(node)
         if not txs:
             return
         block = seal_block(node.chain.tip.header, txs, post, events, node.id, network.tick)
-        block_hash = hash_header(block.header)
-        network.executed[block_hash] = (height, post, block.events)
+        network.executed[hash_header(block.header)] = (height, post, block.events)
     rnd.sent.add((PROPOSAL, rnd.view))
     network.broadcast(
         PROPOSAL, node.id,
@@ -637,7 +632,7 @@ def _local_actions(network: Network, node: ValidatorNode) -> None:
             "proposer": node.id,
             "block": block.to_dict(),
         },
-        _carried(block, block_hash),
+        _carried(block),
     )
 
 

@@ -77,11 +77,15 @@ class Chain:
 
 
 def hash_header(header: BlockHeader) -> str:
-    return codec.digest(header.to_dict())
+    # Hashed once per object, as SignedTransaction.tx_id is; two threads that
+    # race here store the same digest.
+    if "_hash" not in header.__dict__:
+        header.__dict__["_hash"] = codec.digest(header)
+    return header.__dict__["_hash"]
 
 
 def tx_root(transactions) -> str:
-    return codec.digest([t.to_dict() for t in transactions])
+    return codec.digest(transactions)
 
 
 def genesis_block(genesis_state: WorldState) -> Block:

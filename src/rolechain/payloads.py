@@ -126,16 +126,15 @@ class SignedTransaction(codec.Record):
         if codec.require_int(self.nonce, "nonce") < 0:
             raise ValueError("nonce must be a non-negative integer")
 
-    def signing_dict(self) -> dict:
-        return {"nonce": self.nonce, "payload": self.payload.to_dict(), "sender": self.sender}
-
     def signing_bytes(self) -> bytes:
-        return codec.canonical_bytes(self.signing_dict())
+        return codec.canonical_bytes(
+            {"nonce": self.nonce, "payload": self.payload, "sender": self.sender}
+        )
 
     @property
     def tx_id(self) -> str:
         # Hashed once per object. The cache sits in the instance dict, not in a
         # field, so equality, the wire form and dataclasses.replace ignore it.
         if "_tx_id" not in self.__dict__:
-            self.__dict__["_tx_id"] = codec.digest(self.to_dict())
+            self.__dict__["_tx_id"] = codec.digest(self)
         return self.__dict__["_tx_id"]

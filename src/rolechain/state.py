@@ -157,12 +157,12 @@ class Event(codec.Record):
         return dict(self.attributes)
 
     def to_dict(self) -> dict:
-        return {
-            "attributes": {k: codec.to_wire(v) for k, v in self.attributes},
+        return codec.to_wire({
+            "attributes": self.attrs,
             "height": self.height,
             "kind": self.kind,
             "tx_index": self.tx_index,
-        }
+        })
 
 
 _ABSENT = object()
@@ -324,12 +324,12 @@ class WorldState:
 
 def _entry_text(key: Any, value: Any) -> bytes:
     """Canonical bytes of the object entry ``"key":value`` of a dict relation."""
-    return codec.canonical_bytes({key: codec.to_wire(value)})[1:-1]
+    return codec.canonical_bytes({key: value})[1:-1]
 
 
 def _member_text(_key, member: tuple) -> bytes:
     """Canonical bytes of one member of a set relation."""
-    return codec.canonical_bytes(codec.to_wire(member))
+    return codec.canonical_bytes(member)
 
 
 def _pra_order(triple: tuple[str, str, Permission]) -> tuple[str, str, str, str]:

@@ -68,7 +68,7 @@ def build_genesis_state(genesis: GenesisFile) -> WorldState:
 
 
 def save_genesis(genesis: GenesisFile, path: str | Path) -> None:
-    Path(path).write_text(codec.canonical_dumps(genesis.to_dict()) + "\n", encoding="utf-8")
+    Path(path).write_text(codec.canonical_dumps(genesis) + "\n", encoding="utf-8")
 
 
 def load_genesis(path: str | Path) -> GenesisFile:
@@ -110,9 +110,9 @@ class Store:
             self.append(block)
 
     def append(self, block: Block) -> None:
-        block_dict = block.to_dict()
-        crc = zlib.crc32(codec.canonical_bytes(block_dict))
-        line = codec.canonical_dumps({"block": block_dict, "crc32": f"{crc:08x}"})
+        text = codec.canonical_dumps(block)
+        # canonical_dumps({"block": block, "crc32": crc}) with one encode: "block" < "crc32".
+        line = f'{{"block":{text},"crc32":"{zlib.crc32(text.encode("utf-8")):08x}"}}'
         with open(self.path, "a", encoding="utf-8") as fh:
             fh.write(line + "\n")
             fh.flush()
@@ -148,7 +148,7 @@ def _read_lines(path: Path) -> tuple[list[Block], int | None]:
                 raise ValueError("crc mismatch")
             whole = True
             block = Block.from_dict(doc["block"])
-        except (ValueError, KeyError, TypeError) as exc:
+        except (ValueError, KeyError, TypeError, RecursionError) as exc:
             if last and not whole:
                 logger.warning("leaving out torn final line %d of %s (%s)", i, path, exc)
                 return blocks, sum(len(s) + 1 for s in segments[:i])

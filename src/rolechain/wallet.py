@@ -133,7 +133,7 @@ def save_wallet(wallet: Wallet, path: str | Path) -> None:
     fd, tmp = tempfile.mkstemp(dir=p.parent, prefix=f".{p.name}.", suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(codec.canonical_dumps(wallet.to_dict()) + "\n")
+            fh.write(codec.canonical_dumps(wallet) + "\n")
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, p)

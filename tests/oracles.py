@@ -194,17 +194,21 @@ def reference_tx_bytes(tx) -> bytes:
     ]).encode("utf-8")
 
 
-def reference_block_bytes(block) -> bytes:
-    """The canonical bytes of a whole Block (header, transactions, events), by hand."""
-    h = block.header
-    header = _ref_object([
+def reference_header_bytes(h) -> bytes:
+    """The canonical bytes of a BlockHeader, by hand; ``hash_header`` is their SHA-256."""
+    return _ref_object([
         ("height", _ref_scalar(h.height)),
         ("prev_hash", _ref_str(h.prev_hash)),
         ("proposer", _ref_str(h.proposer)),
         ("state_root", _ref_str(h.state_root)),
         ("timestamp", _ref_scalar(h.timestamp)),
         ("tx_root", _ref_str(h.tx_root)),
-    ])
+    ]).encode("utf-8")
+
+
+def reference_block_bytes(block) -> bytes:
+    """The canonical bytes of a whole Block (header, transactions, events), by hand."""
+    header = reference_header_bytes(block.header).decode("utf-8")
     events = [
         _ref_object([
             ("attributes", _ref_object([

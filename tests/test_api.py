@@ -225,6 +225,24 @@ def test_float_org_is_malformed(cluster, txf):
     assert resp.status_code == 400 and resp.json()["code"] == "Malformed"
 
 
+@pytest.mark.parametrize("body", [
+    "[" * 990 + "]" * 990,  # too deep to parse
+    '{"a":' * 600 + "0" + "}" * 600,  # parses, but may be too deep for the encoder's walk
+], ids=["parse", "walk"])
+def test_a_body_nested_too_deep_is_malformed_and_the_connection_still_answers(cluster, body):
+    s0, _ = cluster
+    conn = http.client.HTTPConnection("127.0.0.1", s0.port, timeout=10)
+    try:
+        conn.request("POST", "/v1/transactions", body=body)
+        resp = conn.getresponse()
+        assert resp.status == 400 and json.loads(resp.read())["code"] == "Malformed"
+        conn.request("GET", "/v1/status")
+        resp = conn.getresponse()
+        assert resp.status == 200 and json.loads(resp.read())["height"] == 0
+    finally:
+        conn.close()
+
+
 @pytest.mark.parametrize("path", ["/v1/blocks/x", "/v1/users/{addr}/roles/extra", "/v1/nope"])
 def test_unknown_get_path_is_not_found(cluster, wallets, path):
     route = path.format(addr=wallets["alice"].address)

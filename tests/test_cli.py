@@ -271,6 +271,34 @@ def test_sim_run_dump_chain_bytes_are_pinned(runner, tmp_path):
         )
 
 
+def test_input_nested_too_deep_gets_the_answer_malformed_input_gets(
+    runner, tmp_path, genesis_file, genesis_state, txf, wallets
+):
+    """A store line is a failed height (exit 4); a genesis file is bad input (exit 3)."""
+    chain = make_chain(genesis_state, [txf.register("alice", "acme", "member")],
+                       proposer=wallets["v0"].address, per_block=1)
+    chain_file, genesis_path = tmp_path / "chain.jsonl", tmp_path / "genesis.json"
+    store = Store(chain_file)
+    for block in chain.blocks:
+        store.append(block)
+    save_genesis(genesis_file, genesis_path)
+    nested = b"[" * 5000 + b"]" * 5000
+    first, rest = chain_file.read_bytes().split(b"\n", 1)
+    chain_file.write_bytes(first + b"\n" + nested + b"\n" + rest)
+    r = runner.invoke(main, ["chain", "verify", str(chain_file), "--genesis", str(genesis_path)],
+                      env=_env(tmp_path))
+    assert r.exit_code == 4, (r.output, r.exception)
+    assert r.stdout.startswith("FAILED at height 1") and "Traceback" not in r.output
+
+    nested_genesis = tmp_path / "nested-genesis.json"
+    nested_genesis.write_bytes(nested)
+    r = runner.invoke(main, ["chain", "verify", str(chain_file), "--genesis", str(nested_genesis)],
+                      env=_env(tmp_path))
+    assert r.exit_code == 3, (r.output, r.exception)
+    lines = r.stderr.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), r.stderr
+
+
 def test_chain_verify_with_tip_anchor(runner, tmp_path):
     scenario_path = tmp_path / "scenario.json"
     scenario_path.write_text(json.dumps(BASE), "utf-8")

@@ -164,9 +164,9 @@ def test_altered_body_under_a_memoized_header_is_refused(genesis_file, txf, kind
     # The proposer seals its block from its selection fold and records it.
     net.nodes[proposer].admit(txf.register("alice", "acme", "member"), net.tick)
     consensus._local_actions(net, net.nodes[proposer])
-    (sent,) = {m.parse(consensus._carried_block) for m in net.queue}
+    (block,) = {m.parse(consensus._carried_block) for m in net.queue}
     net.queue = []
-    block, block_hash = sent
+    block_hash = hash_header(block.header)
     assert block_hash in net.executed
     bad = _tampered(block, txf.register("bob", "acme", "member"), part)
     assert hash_header(bad.header) == block_hash

@@ -215,7 +215,7 @@ def test_a_root_encodes_only_the_entries_written_since_the_last(monkeypatch):
     monkeypatch.setattr(codec, "canonical_bytes", lambda obj: encoded.append(obj) or encode(obj))
     assert state_root(state) == _reference_root(state)
     # One nonce entry and one ura triple; no org, user or pra entry.
-    assert encoded == [{addr: state.nonces[addr]}, [addr, "globex", "analyst"]]
+    assert encoded == [{addr: state.nonces[addr]}, (addr, "globex", "analyst")]
     encoded.clear()
     assert state_root(state.clone()) == _reference_root(state) and encoded == []
 

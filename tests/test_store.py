@@ -138,6 +138,23 @@ def test_a_whole_final_line_that_holds_no_block_is_refused_not_truncated(tmp_pat
     assert store.path.read_bytes() == before
 
 
+@pytest.mark.parametrize("final", [False, True])
+def test_a_line_nested_too_deep_is_json_that_does_not_parse(tmp_path, chain10, final):
+    """An interior one is corruption at its height; a final one is a torn write."""
+    store = _write(tmp_path, chain10)
+    lines = store.path.read_bytes().split(b"\n")
+    at = len(lines) - 2 if final else 5
+    lines[at] = b"[" * 5000 + b"]" * 5000
+    store.path.write_bytes(b"\n".join(lines))
+    if final:
+        assert len(load_chain(open_store(store.path))) == len(chain10) - 1
+        assert store.path.read_bytes() == b"\n".join(lines[:at] + [b""])
+    else:
+        with pytest.raises(CorruptStore) as exc:
+            load_chain(open_store(store.path))
+        assert exc.value.height == at
+
+
 def test_empty_store_is_corrupt(tmp_path):
     with pytest.raises(CorruptStore):
         load_chain(open_store(tmp_path / "void.jsonl"))

@@ -23,12 +23,15 @@ WRITES = 20
 # gossip broadcast's one parse, and the proposer's selection, whose fold is
 # its block's fold.
 VERIFIES_PER_TX = 2
-# Calls to codec.canonical_dumps: 1,322 on this run, 1,002 of them for the trace
+# Calls to codec.canonical_dumps: 1,226 on this run, 1,002 of them for the trace
 # digest (one per delivered message, 801, and one body digest per broadcast).
-ENCODES_PER_TX = 66.1
+ENCODES_PER_TX = 61.3
 # Calls to codec.digest made by SignedTransaction.tx_id: each tx object hashes
 # its id once, and every replica holds the objects its sender parsed.
 TX_ID_DIGESTS_PER_TX = 1
+# Calls to codec.digest made by ledger.hash_header: each header object hashes
+# once, so one per block plus each replica's own genesis header (24 on either run).
+HEADER_HASHES_PER_TX = 1.2
 EXECUTES_PER_TX = 1  # calls to state.execute_transaction
 # WorldState.clone calls per committed write: the proposer's selection fold.
 CLONES_PER_TX = 1
@@ -36,8 +39,8 @@ CLONES_PER_TX = 1
 # finalizer extends its chain without checking the link again.
 CHECK_LINKS_PER_TX = 4
 # Encodes per NodeHandle.submit on a node service, whose network keeps no trace
-# digest: 16 on the replication path plus the store line's 2.
-ENCODES_PER_NODE_WRITE = 18
+# digest: 244 on this run, the store line's one included.
+ENCODES_PER_NODE_WRITE = 12.2
 
 
 def _counter(monkeypatch):
@@ -54,17 +57,21 @@ def _counter(monkeypatch):
 
 
 def _count_encodes(monkeypatch, counts):
-    """Count canonical encodes, and the digests that ``SignedTransaction.tx_id`` takes."""
+    """Count canonical encodes, and the digests that ``tx_id`` and ``hash_header`` take."""
     encode, digest = codec.canonical_dumps, codec.digest
-    tx_id_code = payloads.SignedTransaction.tx_id.fget.__code__
+    callers = {
+        payloads.SignedTransaction.tx_id.fget.__code__: "tx_id digest",
+        ledger.hash_header.__code__: "header hash",
+    }
 
     def counted_encode(obj):
         counts["encode"] += 1
         return encode(obj)
 
     def counted_digest(obj):
-        if sys._getframe(1).f_code is tx_id_code:
-            counts["tx_id digest"] += 1
+        caller = callers.get(sys._getframe(1).f_code)
+        if caller is not None:
+            counts[caller] += 1
         return digest(obj)
 
     monkeypatch.setattr(codec, "canonical_dumps", counted_encode)
@@ -92,6 +99,7 @@ def test_work_per_committed_write_stays_within_the_measured_counts(genesis_file,
     assert counts["verify"] <= VERIFIES_PER_TX * WRITES
     assert counts["encode"] <= ENCODES_PER_TX * WRITES
     assert counts["tx_id digest"] <= TX_ID_DIGESTS_PER_TX * WRITES
+    assert counts["header hash"] <= HEADER_HASHES_PER_TX * WRITES
     assert counts["execute"] <= EXECUTES_PER_TX * WRITES
     assert counts["check_link"] <= CHECK_LINKS_PER_TX * WRITES
     assert counts["clone"] <= CLONES_PER_TX * WRITES
@@ -121,6 +129,7 @@ def test_encodes_per_node_write_stay_within_the_measured_count(
     assert handle.store.height == WRITES and len(handle.network.trace) > 0
     assert counts["encode"] <= ENCODES_PER_NODE_WRITE * WRITES
     assert counts["tx_id digest"] <= TX_ID_DIGESTS_PER_TX * WRITES
+    assert counts["header hash"] <= HEADER_HASHES_PER_TX * WRITES
 
 
 def test_a_cold_start_replay_copies_once_per_block(genesis_state, wallets, txf, monkeypatch):
