@@ -53,19 +53,16 @@ def digest(obj: Any) -> str:
     return sha256_hex(canonical_bytes(obj))
 
 
-class DigestLog(list):
+class DigestLog:
     """An append-only log that keeps only its count and a running digest.
 
     ``digest(log)`` equals ``digest`` of a plain list of the appended
-    values, and ``len(log)`` is their count, but no value is retained: the
-    list itself stays empty, so iterating it yields nothing and indexing it
-    fails. It stays a ``list`` for readers of the list of values it replaced.
+    values, and ``len(log)`` is their count, but no value is retained.
     A log made with ``keep_digest=False`` only counts: it encodes nothing,
     and ``digest(log)`` raises rather than return a digest of nothing.
     """
 
     def __init__(self, keep_digest: bool = True):
-        super().__init__()
         self.keep_digest = keep_digest
         self._sha = hashlib.sha256(b"[")
         self._count = 0

@@ -32,17 +32,18 @@ of scope, per the trusted-validator setting):
   not pin, and any other is executed and recorded. The first replica to
   finalize a height appends the block and prunes the table up to it; the
   others take its chain and state. Audits and cold-start replay re-execute
-  every block. The recipients of one broadcast share one parse of its body
-  (``Message.parse``, which for a transaction includes its envelope check);
-  a sender seeds that parse with the tx, or the block, it holds, and every
-  recipient still runs its own checks on it.
+  every block. Message bodies carry the sender's own frozen records (the
+  gossiped tx, the proposed or committed block, the synced blocks), so the
+  recipients of one broadcast hold the same objects, and every recipient
+  still runs its own checks on them. Only ``submit_tx`` makes gossip, after
+  the envelope check, and every fold checks the envelope again.
 
 Everything is a pure function of (config, workload, seed): messages carry a
 global sequence number and deliver in (tick, sender, sequence) order, and
 per-message latency comes from one seeded RNG. Two runs with equal inputs
 produce byte-identical message traces and reports. The trace is kept as a
 count and, unless ``trace_digest=False`` (a serving node), a running digest
-(``codec.DigestLog``).
+(``codec.DigestLog``); such a network digests each body once, when it sends.
 """
 
 from __future__ import annotations
@@ -54,7 +55,7 @@ from dataclasses import dataclass, field
 from . import codec
 from .errors import ChainError, SimTimeout, TransactionError
 from .ledger import (
-    Block, BlockHeader, Chain, check_link, execute_block, hash_header, new_chain, replay,
+    Block, Chain, check_link, execute_block, hash_header, new_chain, replay,
     seal_block,
 )
 from .payloads import SignedTransaction
@@ -174,36 +175,18 @@ class Message:
     body: dict
     deliver_at_tick: int
     seq: int
-    # Parsed forms of *body*, shared by every recipient of one broadcast.
-    parsed: dict = field(default_factory=dict, repr=False, compare=False)
+    # codec.digest(body), taken once per broadcast by a network that keeps its trace digest.
+    body_digest: str | None = field(default=None, repr=False, compare=False)
 
     def fingerprint(self) -> dict:
         return {
-            "body": self.parse(codec.digest),
+            "body": self.body_digest or codec.digest(self.body),
             "kind": self.kind,
             "recipient": self.recipient,
             "sender": self.sender,
             "seq": self.seq,
             "tick": self.deliver_at_tick,
         }
-
-    def parse(self, parser):
-        """``parser(self.body)``, run once per broadcast; its result is frozen and shared.
-
-        A ValueError or KeyError it raised is raised again for every
-        recipient, so each one refuses the message.
-        """
-        memo = self.parsed.get(parser)
-        if memo is None:
-            try:
-                memo = parser(self.body), None
-            except (ValueError, KeyError) as exc:
-                memo = None, exc.with_traceback(None)
-            self.parsed[parser] = memo
-        value, error = memo
-        if error is not None:
-            raise error
-        return value
 
 
 @dataclass
@@ -308,22 +291,18 @@ class Network:
 
     # --- messaging ---------------------------------------------------------
 
-    def _send(
-        self, kind: str, sender: str, recipient: str, body: dict, parsed: dict | None = None
-    ) -> None:
-        self.seq += 1
-        latency = 1 + self.rng.randrange(2)
-        self.queue.append(Message(
-            kind, sender, recipient, body, self.tick + latency, self.seq,
-            {} if parsed is None else parsed,
-        ))
+    def _send(self, kind: str, sender: str, recipients: list | tuple, body: dict) -> None:
+        digest = codec.digest(body) if self.trace.keep_digest else None
+        for recipient in recipients:
+            self.seq += 1
+            latency = 1 + self.rng.randrange(2)
+            self.queue.append(Message(
+                kind, sender, recipient, body, self.tick + latency, self.seq, digest,
+            ))
 
-    def broadcast(self, kind: str, sender: str, body: dict, parsed: dict | None = None) -> None:
-        # Includes the sender itself: every node handles every message the
-        # same way. *parsed* seeds the recipients' shared parses (Message.parse).
-        parsed = {} if parsed is None else parsed
-        for v in self.config.validators:
-            self._send(kind, sender, v, body, parsed)
+    def broadcast(self, kind: str, sender: str, body: dict) -> None:
+        # Includes the sender itself: every node handles every message the same way.
+        self._send(kind, sender, self.config.validators, body)
 
     def proposer_for(self, height: int, view: int) -> str:
         vals = self.config.validators
@@ -346,8 +325,7 @@ def submit_tx(network: Network, tx: SignedTransaction, via: str | None = None):
     )
     if entry is None:
         return False, "Unavailable", None
-    # The gossip's one parse is the tx this admission verified.
-    network.broadcast(TX_GOSSIP, entry, {"tx": tx.to_dict()}, {_gossiped_tx: (tx, None)})
+    network.broadcast(TX_GOSSIP, entry, {"tx": tx})
     return True, None, tx.tx_id
 
 
@@ -452,44 +430,20 @@ def _request_sync(network: Network, node: ValidatorNode, peer: str) -> None:
     if network.tick < node.sync_inflight_until:
         return
     node.sync_inflight_until = network.tick + VIEW_TIMEOUT_TICKS
-    network._send(SYNC_REQUEST, node.id, peer, {"from_height": node.next_height})
+    network._send(SYNC_REQUEST, node.id, (peer,), {"from_height": node.next_height})
 
 
 def _send_blocks(network: Network, node: ValidatorNode, peer: str, start: int) -> None:
     """Send *peer* up to MAX_SYNC_BLOCKS of this node's blocks from height *start*."""
     blocks = node.chain.blocks[start : start + MAX_SYNC_BLOCKS]
-    network._send(SYNC_RESPONSE, node.id, peer, {"blocks": [b.to_dict() for b in blocks]})
-
-
-def _gossiped_tx(body: dict) -> SignedTransaction:
-    tx = SignedTransaction.from_dict(body["tx"])
-    if not verify_envelope(tx):
-        raise ValueError("gossiped transaction fails its envelope check")
-    return tx
-
-
-def _carried_block(body: dict) -> Block:
-    return Block.from_dict(body["block"])
-
-
-def _carried_hash(body: dict) -> str:
-    return hash_header(BlockHeader.from_dict(body["block"]["header"]))
-
-
-def _carried(block: Block) -> dict:
-    """The shared parses of a body that carries *block*, seeded from its sender's copy."""
-    return {_carried_block: (block, None), _carried_hash: (hash_header(block.header), None)}
+    network._send(SYNC_RESPONSE, node.id, (peer,), {"blocks": blocks})
 
 
 def _handle(network: Network, node: ValidatorNode, msg: Message) -> None:
     kind, body = msg.kind, msg.body
 
     if kind == TX_GOSSIP:
-        try:
-            tx = msg.parse(_gossiped_tx)
-        except (ValueError, KeyError):
-            return
-        node.admit(tx, network.tick)
+        node.admit(body["tx"], network.tick)
         return
 
     if kind == STATUS:
@@ -509,14 +463,8 @@ def _handle(network: Network, node: ValidatorNode, msg: Message) -> None:
 
     if kind == SYNC_RESPONSE:
         node.sync_inflight_until = -1
-        for raw in body["blocks"]:
-            try:
-                block = Block.from_dict(raw)
-            except (ValueError, KeyError):
-                return
-            if block.header.height < node.next_height:
-                continue
-            if not _adopt_block(network, node, block):
+        for block in body["blocks"]:
+            if block.header.height >= node.next_height and not _adopt_block(network, node, block):
                 return
         return
 
@@ -538,32 +486,23 @@ def _handle(network: Network, node: ValidatorNode, msg: Message) -> None:
     if kind == PROPOSAL:
         if body["proposer"] != network.proposer_for(height, view):
             return
-        block_hash = _learn(network, node, msg)
+        block_hash = _learn(network, node, body["block"])
         if block_hash is None:
             return
         rnd.proposal_views[view] = block_hash
     else:
         block_hash = body["block_hash"]
-        if kind == COMMIT:
-            # A commit counts for the block whose header it carries, before
-            # that block validates.
-            try:
-                if msg.parse(_carried_hash) != block_hash:
-                    return
-            except (ValueError, KeyError):
-                return
+        # A commit counts for the block whose header it carries, before that block validates.
+        if kind == COMMIT and hash_header(body["block"].header) != block_hash:
+            return
         rnd.tally.setdefault((kind, view, block_hash), set()).add(msg.sender)
         if kind == COMMIT:
-            _learn(network, node, msg)
+            _learn(network, node, body["block"])
     _advance(network, node)
 
 
-def _learn(network: Network, node: ValidatorNode, msg: Message) -> str | None:
-    """The header hash of the block *msg* carries, once that block is valid in the round."""
-    try:
-        block = msg.parse(_carried_block)
-    except (ValueError, KeyError):
-        return None
+def _learn(network: Network, node: ValidatorNode, block: Block) -> str | None:
+    """The header hash of *block*, once it is valid in the node's round."""
     rnd, block_hash = node.round, hash_header(block.header)
     if block_hash not in rnd.proposals:
         post = _validate_proposal(network, node, block)
@@ -590,9 +529,8 @@ def _advance(network: Network, node: ValidatorNode) -> None:
         if votes >= quorum and (COMMIT, view) not in rnd.sent:
             rnd.sent.add((COMMIT, view))
             rnd.lock = block_hash
-            body = {"height": height, "view": view, "block_hash": block_hash,
-                    "block": block.to_dict()}
-            network.broadcast(COMMIT, node.id, body, _carried(block))
+            body = {"height": height, "view": view, "block_hash": block_hash, "block": block}
+            network.broadcast(COMMIT, node.id, body)
         if commits >= quorum:
             _finalize(network, node, block, post)
             return
@@ -626,13 +564,7 @@ def _local_actions(network: Network, node: ValidatorNode) -> None:
     rnd.sent.add((PROPOSAL, rnd.view))
     network.broadcast(
         PROPOSAL, node.id,
-        {
-            "height": height,
-            "view": rnd.view,
-            "proposer": node.id,
-            "block": block.to_dict(),
-        },
-        _carried(block),
+        {"height": height, "view": rnd.view, "proposer": node.id, "block": block},
     )
 
 

@@ -88,6 +88,14 @@ def tx_root(transactions) -> str:
     return codec.digest(transactions)
 
 
+def _block_tx_root(block: Block) -> str:
+    # Computed once per block object, as hash_header is, and seeded by
+    # seal_block; dataclasses.replace makes a new object without it.
+    if "_tx_root" not in block.__dict__:
+        block.__dict__["_tx_root"] = tx_root(block.transactions)
+    return block.__dict__["_tx_root"]
+
+
 def genesis_block(genesis_state: WorldState) -> Block:
     header = BlockHeader(
         height=0,
@@ -132,15 +140,18 @@ def build_block(
 
 def seal_block(prev: BlockHeader, txs, post: WorldState, events, proposer: str, tick: int) -> Block:
     """The block at ``prev.height + 1`` over *txs*, whose fold already gave *post* and *events*."""
+    root = tx_root(txs)
     header = BlockHeader(
         height=prev.height + 1,
         prev_hash=hash_header(prev),
-        tx_root=tx_root(txs),
+        tx_root=root,
         state_root=state_root(post),
         proposer=proposer,
         timestamp=tick,
     )
-    return Block(header=header, transactions=tuple(txs), events=tuple(events))
+    block = Block(header=header, transactions=tuple(txs), events=tuple(events))
+    block.__dict__["_tx_root"] = root
+    return block
 
 
 def check_link(parent: BlockHeader, block: Block) -> None:
@@ -150,7 +161,7 @@ def check_link(parent: BlockHeader, block: Block) -> None:
         raise HeightGap(f"expected height {parent.height + 1}, block claims {h}")
     if block.header.prev_hash != hash_header(parent):
         raise LinkMismatch(f"block at height {h} does not link to tip")
-    if tx_root(block.transactions) != block.header.tx_root:
+    if _block_tx_root(block) != block.header.tx_root:
         raise RootMismatch(f"tx root mismatch at height {h}")
 
 

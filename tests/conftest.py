@@ -155,14 +155,14 @@ def watch_commit_votes(monkeypatch) -> dict:
     commit_votes: dict[tuple[str, int, int], str] = {}
     broadcast = Network.broadcast
 
-    def recording(network, kind, sender, body, parsed=None):
+    def recording(network, kind, sender, body):
         if kind == COMMIT:
             key = (sender, body["height"], body["view"])
             first = commit_votes.setdefault(key, body["block_hash"])
             assert first == body["block_hash"], (
                 f"{sender} commit-voted two blocks at height {key[1]} view {key[2]}"
             )
-        broadcast(network, kind, sender, body, parsed)
+        broadcast(network, kind, sender, body)
 
     monkeypatch.setattr(Network, "broadcast", recording)
     return commit_votes

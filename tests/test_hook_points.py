@@ -36,10 +36,11 @@ def test_traced_method_is_on_its_class(mod, cls, attr, kind):
 
 
 def test_launcher_patch_points_exist():
-    from rolechain import api, consensus
+    from rolechain import api, codec, consensus
     from rolechain.state import WorldState
 
     for module, attr in ((api, "submit_tx"), (api, "run_until_quiescent"), (consensus, "step")):
         assert callable(getattr(module, attr))
     network = consensus.Network(consensus.NetworkConfig(validators=["0" * 40]), WorldState())
-    assert isinstance(network.trace, list)
+    # The benchmark reads the trace only as its count and its digest.
+    assert len(network.trace) == 0 and codec.digest(network.trace) == codec.digest([])

@@ -1,8 +1,8 @@
-"""One parse per broadcast, and node memory that grows with the state.
+"""Shared records per broadcast, and node memory that grows with the state.
 
-The recipients of one broadcast share the block or transaction parsed from
-its body (both are frozen), and a body that fails to parse is refused by
-every recipient. A network keeps the message trace only as a count and a
+A message body carries its sender's own block or transaction (both are
+frozen), so the recipients of one broadcast hold the same object, and each
+still checks it. A network keeps the message trace only as a count and a
 running digest (a serving node's only as a count), so a write that does not
 grow the state retains little beyond its block, however many messages it took.
 """
@@ -14,7 +14,7 @@ import tracemalloc
 import pytest
 
 from conftest import TxFactory
-from rolechain import consensus, keys
+from rolechain import consensus
 from rolechain.api import NodeHandle
 from rolechain.consensus import (
     MAX_BLOCK_TXS, PROPOSAL, SYNC_RESPONSE, TX_GOSSIP, VOTE, Message, Network, NetworkConfig,
@@ -45,7 +45,7 @@ def _proposal(net, vals, txf):
         proposer.chain.tip.header, [txf.register("alice", "acme", "member")],
         proposer.state, proposer.id, 1,
     )
-    return block, {"height": 1, "view": 0, "proposer": proposer.id, "block": block.to_dict()}
+    return block, {"height": 1, "view": 0, "proposer": proposer.id, "block": block}
 
 
 def test_recipients_of_one_proposal_hold_the_same_block(genesis_file, txf):
@@ -53,68 +53,25 @@ def test_recipients_of_one_proposal_hold_the_same_block(genesis_file, txf):
     block, body = _proposal(net, vals, txf)
     _deliver_broadcast(net, PROPOSAL, vals[1], body)
     held = [node.round.proposals[hash_header(block.header)][0] for node in net.nodes.values()]
-    assert held[0] == block and held[0] is not block  # parsed from the body
-    assert all(b is held[0] for b in held)
+    assert all(b is block for b in held)
     assert sorted(m.sender for m in net.queue if m.kind == VOTE) == sorted(vals * 4)
 
 
-@pytest.mark.parametrize("breakage", ["missing events", "bad state_root"])
-def test_malformed_proposal_gets_no_vote_from_any_recipient(genesis_file, txf, breakage):
-    net, vals = _network(genesis_file)
-    _, body = _proposal(net, vals, txf)
-    if breakage == "missing events":
-        del body["block"]["events"]  # KeyError
-    else:
-        body["block"]["header"]["state_root"] = "zz" * 32  # ValueError
-    sent = _deliver_broadcast(net, PROPOSAL, vals[1], body)
-    assert len(sent) == 4
-    assert not [m for m in net.queue if m.kind == VOTE]
-    assert all(node.round.proposals == {} for node in net.nodes.values())
-
-
-def test_a_broadcast_is_parsed_once_and_a_parse_error_reaches_every_recipient(genesis_file):
-    net, vals = _network(genesis_file)
-    calls = []
-
-    def failing(body):
-        calls.append(body)
-        raise ValueError("not a block")
-
-    def parsing(body):
-        calls.append(body)
-        return object()
-
-    net.broadcast(PROPOSAL, vals[0], {"height": 1})
-    sent = net.queue
-    for msg in sent:
-        with pytest.raises(ValueError, match="not a block"):
-            msg.parse(failing)
-    assert len(calls) == 1
-    assert len({id(msg.parse(parsing)) for msg in sent}) == 1
-    assert len(calls) == 2
-    # A message sent to one peer has its own parse.
-    net._send(PROPOSAL, vals[0], vals[1], {"height": 1})
-    net.queue[-1].parse(parsing)
-    assert len(calls) == 3
-
-
-@pytest.mark.parametrize("breakage, verifies", [("missing nonce", 0), ("forged signature", 1)])
+@pytest.mark.parametrize("breakage", ["forged signature", "foreign public key"])
 def test_bad_gossip_is_dropped_by_every_recipient_and_later_txs_commit(
-    genesis_file, txf, monkeypatch, breakage, verifies
+    genesis_file, txf, wallets, breakage
 ):
+    """Gossip that skipped admission's envelope check fails the one in every fold."""
     net, vals = _network(genesis_file)
-    body = {"tx": txf.register("bob", "acme", "member").to_dict()}
-    if breakage == "missing nonce":
-        del body["tx"]["nonce"]  # KeyError
+    tx = txf.register("bob", "acme", "member")
+    if breakage == "forged signature":
+        bad = dataclasses.replace(tx, signature="11" * 64)
     else:
-        body["tx"]["signature"] = "11" * 64
-    calls = []
-    verify = keys.verify
-    monkeypatch.setattr(keys, "verify", lambda *args: calls.append(args) or verify(*args))
-    net.broadcast(TX_GOSSIP, vals[0], body)
+        bad = dataclasses.replace(tx, public_key=wallets["alice"].public_key)
+    net.broadcast(TX_GOSSIP, vals[0], {"tx": bad})
     assert step_until_quiescent(net, 50)  # step() raised nothing
-    assert len(net.trace) == 4 and len(calls) == verifies  # one envelope check per broadcast
     assert all(node.mempool == {} for node in net.nodes.values())
+    assert net.tx_heights == {} and all(n.chain.height == 0 for n in net.nodes.values())
 
     ok, _, tx_id = submit_tx(net, txf.register("alice", "acme", "member"))
     assert ok and step_until_quiescent(net, 100)
@@ -123,19 +80,16 @@ def test_bad_gossip_is_dropped_by_every_recipient_and_later_txs_commit(
 
 def _refused_message(case, vals, block, proposal):
     """(kind, sender, body) of a message that replica vals[0] must refuse in *case*."""
-    good = block.to_dict()
-    if case == "sync block does not decode":
-        return SYNC_RESPONSE, vals[1], {"blocks": [{**good, "events": None}, good]}
     if case == "sync block fails validation":
-        bad = dataclasses.replace(block, events=())  # decodes, but its replay disagrees
-        return SYNC_RESPONSE, vals[1], {"blocks": [bad.to_dict(), good]}
+        bad = dataclasses.replace(block, events=())  # its replay disagrees
+        return SYNC_RESPONSE, vals[1], {"blocks": [bad, block]}
     if case == "round message without height":
         return PROPOSAL, vals[1], {k: v for k, v in proposal.items() if k != "height"}
     return PROPOSAL, vals[2], {**proposal, "proposer": vals[2]}  # not proposer_for(1, 0)
 
 
 @pytest.mark.parametrize("case", [
-    "sync block does not decode", "sync block fails validation",
+    "sync block fails validation",
     "round message without height", "proposal from a node that is not its proposer",
 ])
 def test_refused_message_changes_nothing_and_later_txs_commit(genesis_file, txf, case):

@@ -164,7 +164,7 @@ def test_altered_body_under_a_memoized_header_is_refused(genesis_file, txf, kind
     # The proposer seals its block from its selection fold and records it.
     net.nodes[proposer].admit(txf.register("alice", "acme", "member"), net.tick)
     consensus._local_actions(net, net.nodes[proposer])
-    (block,) = {m.parse(consensus._carried_block) for m in net.queue}
+    (block,) = {m.body["block"] for m in net.queue}
     net.queue = []
     block_hash = hash_header(block.header)
     assert block_hash in net.executed
@@ -172,25 +172,22 @@ def test_altered_body_under_a_memoized_header_is_refused(genesis_file, txf, kind
     assert hash_header(bad.header) == block_hash
 
     if kind == PROPOSAL:
-        body = {"height": 1, "view": 0, "proposer": proposer, "block": bad.to_dict()}
+        body = {"height": 1, "view": 0, "proposer": proposer, "block": bad}
     else:
-        body = {"height": 1, "view": 0, "block_hash": block_hash, "block": bad.to_dict()}
+        body = {"height": 1, "view": 0, "block_hash": block_hash, "block": bad}
     _deliver(net, node, kind, proposer, body)
     assert node.round.proposals == {}
     assert _votes_from(net, node.id) == []
 
     # The honest block is then taken from the memo, without executing it.
     with mock.patch.object(consensus, "execute_block", side_effect=AssertionError):
-        body["block"] = block.to_dict()
+        body["block"] = block
         _deliver(net, node, kind, proposer, body)
     assert node.round.proposals[block_hash][0] == block
     assert node.round.proposals[block_hash][1] is net.executed[block_hash][1]
 
 
-@pytest.mark.parametrize("breakage", ["header does not decode", "block does not decode"])
-def test_commit_that_does_not_decode_is_refused_and_a_later_tx_commits(
-    genesis_file, txf, breakage
-):
+def test_commit_whose_block_fails_validation_counts_but_is_not_adopted(genesis_file, txf):
     vals = list(genesis_file.validators)
     net = Network(NetworkConfig(validators=vals, rng_seed=5), build_genesis_state(genesis_file))
     node = net.nodes[vals[0]]
@@ -198,18 +195,14 @@ def test_commit_that_does_not_decode_is_refused_and_a_later_tx_commits(
         node.chain.tip.header, [txf.register("alice", "acme", "member")], node.state, vals[1], 1
     )
     block_hash = hash_header(block.header)
-    body = {"height": 1, "view": 0, "block_hash": block_hash, "block": block.to_dict()}
-    if breakage == "header does not decode":
-        body["block"]["header"]["state_root"] = "zz" * 32
-        counted = {}
-    else:
-        body["block"]["events"] = None  # the header still hashes to block_hash
-        counted = {(COMMIT, 0, block_hash): {vals[1]}}
+    bad = dataclasses.replace(block, events=())  # the header still hashes to block_hash
+    body = {"height": 1, "view": 0, "block_hash": block_hash, "block": bad}
     net.seq += 1
     net.queue.append(Message(COMMIT, vals[1], node.id, body, net.tick + 1, net.seq))
     step(net)  # raised nothing
     # The commit counts for the block whose header it carries, but no replica holds it.
-    assert node.round.tally == counted and node.round.proposals == {}
+    assert node.round.tally == {(COMMIT, 0, block_hash): {vals[1]}}
+    assert node.round.proposals == {}
     assert node.chain.height == 0 and node.mempool == {}
 
     ok, _, tx_id = submit_tx(net, txf.register("bob", "acme", "member"))

@@ -20,18 +20,21 @@ from conftest import make_chain
 
 WRITES = 20
 # Ed25519 verifies per committed write: admission, whose verified tx is the
-# gossip broadcast's one parse, and the proposer's selection, whose fold is
-# its block's fold.
+# one the gossip carries, and the proposer's selection, whose fold is its
+# block's fold.
 VERIFIES_PER_TX = 2
-# Calls to codec.canonical_dumps: 1,226 on this run, 1,002 of them for the trace
+# Calls to codec.canonical_dumps: 1,146 on this run, 1,002 of them for the trace
 # digest (one per delivered message, 801, and one body digest per broadcast).
-ENCODES_PER_TX = 61.3
+ENCODES_PER_TX = 57.3
 # Calls to codec.digest made by SignedTransaction.tx_id: each tx object hashes
-# its id once, and every replica holds the objects its sender parsed.
+# its id once, and every replica holds the objects its sender sent.
 TX_ID_DIGESTS_PER_TX = 1
 # Calls to codec.digest made by ledger.hash_header: each header object hashes
 # once, so one per block plus each replica's own genesis header (24 on either run).
 HEADER_HASHES_PER_TX = 1.2
+# Calls to codec.digest made by ledger.tx_root: the proposer's seal, which
+# keeps the root on the one block every replica's check_link reads.
+TX_ROOTS_PER_TX = 1
 EXECUTES_PER_TX = 1  # calls to state.execute_transaction
 # WorldState.clone calls per committed write: the proposer's selection fold.
 CLONES_PER_TX = 1
@@ -39,8 +42,11 @@ CLONES_PER_TX = 1
 # finalizer extends its chain without checking the link again.
 CHECK_LINKS_PER_TX = 4
 # Encodes per NodeHandle.submit on a node service, whose network keeps no trace
-# digest: 244 on this run, the store line's one included.
-ENCODES_PER_NODE_WRITE = 12.2
+# digest: 164 on this run, the store line's one included.
+ENCODES_PER_NODE_WRITE = 8.2
+# Block.to_dict calls per NodeHandle.submit: the store line's; message bodies
+# carry the block itself and an untraced network digests none of them.
+BLOCK_DICTS_PER_NODE_WRITE = 1
 
 
 def _counter(monkeypatch):
@@ -62,6 +68,7 @@ def _count_encodes(monkeypatch, counts):
     callers = {
         payloads.SignedTransaction.tx_id.fget.__code__: "tx_id digest",
         ledger.hash_header.__code__: "header hash",
+        ledger.tx_root.__code__: "tx root",
     }
 
     def counted_encode(obj):
@@ -74,8 +81,14 @@ def _count_encodes(monkeypatch, counts):
             counts[caller] += 1
         return digest(obj)
 
+    def counted_block_dict(block):
+        counts["Block.to_dict"] += 1
+        return block_dict(block)
+
+    block_dict = ledger.Block.to_dict
     monkeypatch.setattr(codec, "canonical_dumps", counted_encode)
     monkeypatch.setattr(codec, "digest", counted_digest)
+    monkeypatch.setattr(ledger.Block, "to_dict", counted_block_dict)
 
 
 def test_work_per_committed_write_stays_within_the_measured_counts(genesis_file, txf, monkeypatch):
@@ -100,6 +113,7 @@ def test_work_per_committed_write_stays_within_the_measured_counts(genesis_file,
     assert counts["encode"] <= ENCODES_PER_TX * WRITES
     assert counts["tx_id digest"] <= TX_ID_DIGESTS_PER_TX * WRITES
     assert counts["header hash"] <= HEADER_HASHES_PER_TX * WRITES
+    assert counts["tx root"] <= TX_ROOTS_PER_TX * WRITES
     assert counts["execute"] <= EXECUTES_PER_TX * WRITES
     assert counts["check_link"] <= CHECK_LINKS_PER_TX * WRITES
     assert counts["clone"] <= CLONES_PER_TX * WRITES
@@ -130,6 +144,8 @@ def test_encodes_per_node_write_stay_within_the_measured_count(
     assert counts["encode"] <= ENCODES_PER_NODE_WRITE * WRITES
     assert counts["tx_id digest"] <= TX_ID_DIGESTS_PER_TX * WRITES
     assert counts["header hash"] <= HEADER_HASHES_PER_TX * WRITES
+    assert counts["tx root"] <= TX_ROOTS_PER_TX * WRITES
+    assert counts["Block.to_dict"] <= BLOCK_DICTS_PER_NODE_WRITE * WRITES
 
 
 def test_a_cold_start_replay_copies_once_per_block(genesis_state, wallets, txf, monkeypatch):
