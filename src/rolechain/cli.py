@@ -17,7 +17,6 @@ import time
 from pathlib import Path
 
 import click
-import requests
 
 from . import __version__, codec
 from .errors import CorruptStore, RoleChainError
@@ -66,6 +65,8 @@ class Ctx:
 
     def _request(self, method: str, path: str, **kwargs) -> dict:
         """The node's JSON answer; an unreachable node or an error reply exits 3."""
+        import requests  # only the client commands load it, never `node serve`
+
         try:
             resp = requests.request(method, self.node_url + path, timeout=60, **kwargs)
         except requests.RequestException as exc:

@@ -272,10 +272,14 @@ class Network:
     # --- fault model -------------------------------------------------------
 
     def crashed(self, node_id: str, tick: int) -> bool:
+        if not self.config.crash_rules:
+            return False
         idx = self._index[node_id]
         return any(r.node == idx and r.active(tick) for r in self.config.crash_rules)
 
     def link_open(self, sender: str, recipient: str, tick: int) -> bool:
+        if not (self.config.partition_rules or self.config.drop_rules):
+            return True
         a, b = self._index[sender], self._index[recipient]
         for rule in self.config.partition_rules:
             if rule.active(tick) and rule.blocks(a, b):

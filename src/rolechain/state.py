@@ -9,10 +9,13 @@ node, which is what the per-block ``state_root`` digests pin down.
 ``state_root`` hashes the canonical JSON of ``WorldState.to_dict()`` without
 building it. Each relation (``nonces``, ``orgs``, ``pra``, ``ura``,
 ``users``) is a container that records every write in its change log: the
-key and its new value, or that it is gone. A root keeps, per relation, the
-sorted keys and the canonical text of each entry, and splices the logged
-entries into the sections its parent left, so only what changed is encoded
-and no key is scanned. A state built from plain containers (genesis,
+key and its new value, or that it is gone. A root keeps, per relation, a
+section: the sorted keys and the canonical text of each entry, cut into
+chunks of a bounded number of entries, each holding its texts joined by
+commas. It splices the logged entries into the chunks its parent left and
+re-joins only the chunks they fall in, so only what changed is encoded,
+no key is scanned, and a write copies only the list of chunks, never a
+whole section. A state built from plain containers (genesis,
 ``from_dict``, the constructor) starts with every entry logged, so its first
 root runs the same path. This relies on three invariants: records are
 immutable, every write to a relation goes through its log (a bulk mutator
@@ -29,7 +32,7 @@ Two relations carry the access-control model:
 from __future__ import annotations
 
 import hashlib
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
 
@@ -40,6 +43,10 @@ if TYPE_CHECKING:  # pragma: no cover
     from .payloads import SignedTransaction
 
 MAX_ID_LENGTH = 64
+# Entries per chunk of a state_root section (see _chunked): a write re-joins
+# only the chunks its keys fall in, so this bounds the bytes one key costs.
+# Bounds of 64, 128 and 256 timed alike at 3,200 users; the smallest is kept.
+_CHUNK_ENTRIES = 64
 
 EVENT_USER_REGISTERED = "UserRegistered"
 EVENT_USER_ROLE_UPDATED = "UserRoleUpdated"
@@ -278,9 +285,9 @@ class WorldState:
     nonces: dict[str, int] = field(default_factory=dict)
 
     # What the last state_root over this state or an ancestor left: one
-    # (sorted keys, texts) section per relation, and the root. Not a field,
-    # so never compared; replaced, never mutated, so clones share it.
-    _fragments = ((([], []),) * len(_RELATIONS), None)
+    # section (a list of chunks) per relation, and the root. Not a field, so
+    # never compared; replaced, never mutated, so clones share it.
+    _fragments = (((),) * len(_RELATIONS), None)
 
     def __setattr__(self, name, value):
         # A relation assigned whole becomes a logged container with every
@@ -347,40 +354,83 @@ _CODERS = (
 _HEADS = (b'{"nonces":{', b'},"orgs":{', b'},"pra":[', b'],"ura":[', b'],"users":{')
 
 
-def _splice(section: tuple[list, list], changes: dict, encode, order) -> tuple[list, list]:
-    """*section* (sorted keys, texts) with *changes* (key -> value or ``_ABSENT``) applied.
+def _first_key(chunk: tuple) -> Any:
+    return chunk[0][0]
 
-    *section* is not mutated. Each changed key is bisected into the kept
-    keys, the runs between are copied as slices, and only changed entries
-    are encoded, so a root costs O(change · log n) Python steps plus C-level
-    copies.
+
+def _chunked(keys: list, texts: list) -> list[tuple]:
+    """The chunk for sorted *keys* and their *texts*: none when empty, several when too long.
+
+    A chunk is (keys, texts, its texts joined by commas). One that holds more
+    than ``2 * _CHUNK_ENTRIES`` entries is split into pieces of at most
+    ``_CHUNK_ENTRIES``.
     """
-    keys, texts = section
+    n = len(keys)
+    if n <= 2 * _CHUNK_ENTRIES:
+        return [(keys, texts, b",".join(texts))] if n else []
+    count = -(-n // _CHUNK_ENTRIES)
+    cuts = [n * j // count for j in range(count + 1)]
+    return [(keys[a:b], texts[a:b], b",".join(texts[a:b])) for a, b in zip(cuts, cuts[1:])]
+
+
+def _splice(section: list, changes: dict, encode, order) -> list:
+    """*section* (a list of chunks) with *changes* (key -> value or ``_ABSENT``) applied.
+
+    Neither *section* nor any of its chunks is mutated: the result is a new
+    list that shares every chunk no changed key falls in. Each changed key
+    is bisected to its chunk (the last whose first key is not above it),
+    and each touched chunk is rebuilt, re-joined, split, merged or dropped,
+    so a root costs O(change · log n) Python steps plus the copies and
+    joins of the chunks it touched.
+    """
     if order is not None:
         changes = {order(k): v for k, v in changes.items()}
-    new_keys: list = []
-    new_texts: list = []
-    lo = 0
+    touched: dict[int, list] = {}
     for key in sorted(changes):
-        value = changes[key]
-        i = bisect_left(keys, key, lo)
-        if i > lo:
-            new_keys += keys[lo:i]
-            new_texts += texts[lo:i]
-        lo = i + (i < len(keys) and keys[i] == key)
-        if value is not _ABSENT:
-            new_keys.append(key)
-            new_texts.append(encode(key, value))
-    new_keys += keys[lo:]
-    new_texts += texts[lo:]
-    return new_keys, new_texts
+        at = max(bisect_right(section, key, key=_first_key) - 1, 0)
+        touched.setdefault(at, []).append(key)
+    new_section = list(section)
+    for at in sorted(touched, reverse=True):  # a later chunk first, so earlier indexes hold
+        keys, texts, _ = new_section[at] if new_section else ([], [], b"")
+        new_keys: list = []
+        new_texts: list = []
+        lo = 0
+        for key in touched[at]:
+            value = changes[key]
+            i = bisect_left(keys, key, lo)
+            if i > lo:
+                new_keys += keys[lo:i]
+                new_texts += texts[lo:i]
+            lo = i + (i < len(keys) and keys[i] == key)
+            if value is not _ABSENT:
+                new_keys.append(key)
+                new_texts.append(encode(key, value))
+        new_keys += keys[lo:]
+        new_texts += texts[lo:]
+        start, end = at, at + 1
+        # A chunk shrunk below a quarter of the bound takes in its next
+        # neighbour (the last one, its previous), so deletes leave no run of
+        # tiny chunks.
+        if 0 < len(new_keys) < _CHUNK_ENTRIES // 4 and len(new_section) > 1:
+            if end < len(new_section):
+                next_keys, next_texts, _ = new_section[end]
+                new_keys += next_keys
+                new_texts += next_texts
+                end += 1
+            else:
+                start -= 1
+                prev_keys, prev_texts, _ = new_section[start]
+                new_keys = prev_keys + new_keys
+                new_texts = prev_texts + new_texts
+        new_section[start:end] = _chunked(new_keys, new_texts)
+    return new_section
 
 
 def state_root(state: WorldState) -> str:
     """SHA-256 over the canonical serialization of the whole state.
 
     The preimage is ``codec.canonical_bytes(state.to_dict())``, assembled
-    from the sections the last root left, with the entries logged since
+    from the chunks the last root left, with the entries logged since
     spliced in (see the module docstring). A state with empty logs returns
     its last root.
 
@@ -389,7 +439,8 @@ def state_root(state: WorldState) -> str:
     before ``_fragments``, and a root publishes ``_fragments`` before it
     clears the logs. So a reader that finds a log cleared also finds the
     sections that already hold its changes, and a reader that finds a log
-    uncleared applies it again, which is idempotent.
+    uncleared applies it again, which is idempotent. A published chunk or
+    section is never mutated.
     """
     relations = [getattr(state, name) for name in _RELATIONS]
     logs = [dict(relation.log) for relation in relations]
@@ -400,11 +451,14 @@ def state_root(state: WorldState) -> str:
         _splice(section, log, *coder) if log else section
         for section, log, coder in zip(sections, logs, _CODERS)
     )
-    # Feed the preimage section by section, so no copy of the whole is made.
+    # Feed the preimage chunk by chunk, so no copy of a whole section is made.
     digest = hashlib.sha256()
-    for head, (_, texts) in zip(_HEADS, sections):
+    for head, section in zip(_HEADS, sections):
         digest.update(head)
-        digest.update(b",".join(texts))
+        for i, (_, _, joined) in enumerate(section):
+            if i:
+                digest.update(b",")
+            digest.update(joined)
     digest.update(b"}}")
     root = digest.hexdigest()
     state._fragments = (sections, root)

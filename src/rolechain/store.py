@@ -110,11 +110,11 @@ class Store:
             self.append(block)
 
     def append(self, block: Block) -> None:
-        text = codec.canonical_dumps(block)
-        # canonical_dumps({"block": block, "crc32": crc}) with one encode: "block" < "crc32".
-        line = f'{{"block":{text},"crc32":"{zlib.crc32(text.encode("utf-8")):08x}"}}'
-        with open(self.path, "a", encoding="utf-8") as fh:
-            fh.write(line + "\n")
+        text = codec.canonical_bytes(block)
+        # canonical_bytes({"block": block, "crc32": crc}) with one encode: "block" < "crc32".
+        line = b'{"block":%s,"crc32":"%08x"}\n' % (text, zlib.crc32(text))
+        with open(self.path, "ab") as fh:
+            fh.write(line)
             fh.flush()
             os.fsync(fh.fileno())
         self.height = block.header.height

@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import os
+import socket
 import subprocess
 import sys
 import threading
@@ -212,6 +213,29 @@ def test_api_error_exit_code(runner, tmp_path, node_server, wallets):
         "--resource", "ledger", "--action", "read",
     ], env=env)
     assert r.exit_code == 3
+
+
+def test_an_unreachable_node_exits_3_with_one_error_line(runner, tmp_path, wallets):
+    with socket.socket() as sock:  # a loopback port nothing listens on once closed
+        sock.bind(("127.0.0.1", 0))
+        port = sock.getsockname()[1]
+    r = runner.invoke(main, [
+        "--node", f"http://127.0.0.1:{port}", "perm", "check", "--user", wallets["alice"].address,
+        "--org", "acme", "--resource", "ledger", "--action", "read",
+    ], env=_env(tmp_path))
+    assert r.exit_code == 3
+    assert r.stderr.startswith(f"error: cannot reach node at http://127.0.0.1:{port}: ")
+    assert len(r.stderr.splitlines()) == 1
+
+
+def test_the_cli_module_does_not_load_the_http_client():
+    """`node serve` imports this module; only the client commands need `requests`."""
+    code = "import rolechain.cli, sys; assert 'requests' not in sys.modules"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [
+        str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH"),
+    ]))}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_usage_error_exit_code(runner, tmp_path):

@@ -19,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rolechain import codec, keys
+from rolechain import state as state_module
 from rolechain.errors import TransactionError
 from rolechain.payloads import (
     GrantPermissionPayload,
@@ -71,14 +72,77 @@ def _assert_sections_live(state: WorldState) -> None:
     )
     expected["ura"] = (sorted(state.ura), [codec.canonical_bytes(entry) for entry in live["ura"]])
     sections, _ = state._fragments
-    for name, (keys_, texts) in zip(RELATIONS, sections):
+    for name, chunks in zip(RELATIONS, sections):
         assert not getattr(state, name).log
-        assert (keys_, texts) == expected[name]
+        assert _flattened(chunks) == expected[name]
+
+
+def _flattened(chunks) -> tuple[list, list]:
+    """A section's keys and texts, in order; each chunk is bounded and joined.
+
+    A chunk holds at least a quarter of the bound unless it is the only one,
+    so deletes cannot leave a section of many tiny chunks.
+    """
+    least = state_module._CHUNK_ENTRIES // 4 if len(chunks) > 1 else 1
+    keys_, texts = [], []
+    for chunk_keys, chunk_texts, joined in chunks:
+        assert least <= len(chunk_keys) == len(chunk_texts) <= 2 * state_module._CHUNK_ENTRIES
+        assert joined == b",".join(chunk_texts)
+        keys_ += chunk_keys
+        texts += chunk_texts
+    return keys_, texts
 
 
 def _assert_root(state: WorldState) -> None:
     assert state_root(state) == _reference_root(state)
     _assert_sections_live(state)
+
+
+# One relation driven through chunk splits and drops: each op inserts below
+# every key, above every key or between keys, deletes keys from anywhere, or
+# takes a clone whose parent must keep its own chunks.
+_CHUNK = state_module._CHUNK_ENTRIES
+_chunk_ops = st.lists(
+    st.tuples(
+        st.sampled_from(["low", "high", "mid", "delete", "drain", "clone"]),
+        st.integers(1, 3 * _CHUNK),
+        st.integers(0, 2**32),
+    ),
+    min_size=1,
+    max_size=12,
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_chunk_ops)
+def test_chunked_sections_match_the_reference_through_splits_and_drops(ops):
+    state = WorldState()
+    parents = []
+    for kind, count, seed in ops:
+        rng = random.Random(seed)
+        held = sorted(state.nonces)
+        if kind == "clone":
+            parents.append((state, _reference_root(state)))
+            state = state.clone()
+        elif kind == "drain" or kind == "delete":
+            for key in held if kind == "drain" else rng.sample(held, min(count, len(held))):
+                del state.nonces[key]
+        else:
+            lo, hi = (int(held[0]), int(held[-1])) if held else (10**9, 10**9)
+            fresh = {
+                "low": range(lo - count, lo),
+                "high": range(hi + 1, hi + 1 + count),
+                "mid": [rng.randrange(lo - 1, hi + 2) for _ in range(count)],
+            }[kind]
+            for n in fresh:
+                state.nonces[f"{n:012d}"] = n % 7
+        assert state_root(state) == _reference_root(state)
+        keys_, texts = _flattened(state._fragments[0][0])
+        assert keys_ == sorted(state.nonces)
+        assert texts == [codec.canonical_bytes({k: state.nonces[k]})[1:-1] for k in keys_]
+    for parent, root in parents:
+        _assert_sections_live(parent)
+        assert state_root(parent) == root
 
 
 def _tx(op, state: WorldState):
