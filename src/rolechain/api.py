@@ -48,6 +48,9 @@ PUMP_TICKS = 400
 MAX_BODY_BYTES = 64 * 1024
 # How often the serving thread checks for shutdown; stop() waits up to this.
 SHUTDOWN_POLL_S = 0.05
+# Longest a connection's socket read or write may wait before the handler
+# closes it, so a client that stalls mid-request or idles holds no thread.
+REQUEST_TIMEOUT_S = 30
 
 _LENGTH_RE = re.compile(r"[0-9]{1,18}[ \t]*")
 
@@ -149,6 +152,7 @@ class _Handler(BaseHTTPRequestHandler):
     # off that write does not wait for the client's delayed ACK.
     disable_nagle_algorithm = True
     wbufsize = -1
+    timeout = REQUEST_TIMEOUT_S
 
     # --- plumbing ---------------------------------------------------------
 

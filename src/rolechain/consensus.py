@@ -23,20 +23,20 @@ of scope, per the trusted-validator setting):
   them by full replay. When a fault window closes (partition heals, node
   revives) every node announces its tip once, modeling the handshake of a
   re-established connection; that exchange triggers the block sync.
-* Replicas in one process share one execution of a block. The proposer
-  seals its block from its selection fold, and ``Network.executed`` keeps
-  the post-state and events of each block built or executed, by header
-  hash. A replica checks a block's height, link and ``tx_root`` with
-  ``check_link`` (the link pins the history, so the pre-state); a block
-  in the table is then only checked for its events, which the header does
-  not pin, and any other is executed and recorded. The first replica to
-  finalize a height appends the block and prunes the table up to it; the
-  others take its chain and state. Audits and cold-start replay re-execute
-  every block. Message bodies carry the sender's own frozen records (the
-  gossiped tx, the proposed or committed block, the synced blocks), so the
-  recipients of one broadcast hold the same objects, and every recipient
-  still runs its own checks on them. Only ``submit_tx`` makes gossip, after
-  the envelope check, and every fold checks the envelope again.
+* Replicas in one process share one execution of a block. Message bodies
+  carry the sender's own frozen records (the gossiped tx, the proposed or
+  committed block, the synced blocks), so the recipients of one broadcast
+  hold the same objects, and each still runs its own checks. A block keeps
+  its fold's post-state as ``_post``: the proposer's seal sets it, and so
+  does a replica that executes a block without one (a decoded block or a
+  ``dataclasses.replace`` copy has none). A replica checks a block's height,
+  link and ``tx_root`` with ``check_link`` (the link pins the history, so
+  the pre-state); then a ``_post`` is the answer, its events being the ones
+  its fold produced or ``execute_block`` compared. Every replica drops it
+  from the block it finalizes; the first at a height appends the block, and
+  the others take its chain and state. Audits and cold-start replay
+  re-execute every block. Only ``submit_tx`` makes gossip, after the
+  envelope check, and every fold checks the envelope again.
 
 Everything is a pure function of (config, workload, seed): messages carry a
 global sequence number and deliver in (tick, sender, sequence) order, and
@@ -252,16 +252,12 @@ class Network:
         # replica shares this one index: a tx is on a replica's chain iff its
         # height is below the replica's next height.
         self.tx_heights: dict[str, int] = {}
-        # Header hash -> (height, post-state, events) of every block some
-        # replica built or executed above the finalized height.
-        self.executed: dict[str, tuple[int, WorldState, tuple[Event, ...]]] = {}
         # Validator id -> its index, the name the fault rules use.
         self._index = {v: i for i, v in enumerate(config.validators)}
+        # Chains are immutable (finalizing builds a new one), so the replicas share one genesis.
+        genesis = new_chain(genesis_state)
         self.nodes: dict[str, ValidatorNode] = {
-            v: ValidatorNode(
-                id=v, chain=new_chain(genesis_state), state=genesis_state,
-                tx_heights=self.tx_heights,
-            )
+            v: ValidatorNode(id=v, chain=genesis, state=genesis_state, tx_heights=self.tx_heights)
             for v in config.validators
         }
         # Ticks at which connectivity changes back: every node announces its
@@ -383,9 +379,10 @@ def _index_txs(network: Network, block: Block) -> None:
 def _finalize(network: Network, node: ValidatorNode, block: Block, post: WorldState) -> None:
     # Take the chain and state objects of a peer that finalized this block
     # already (finality is unique, and equal roots mean equal states): only
-    # the first replica at a height appends and indexes it. That replica
-    # also drops the executed blocks up to this height; a replica that
-    # catches up later executes them itself.
+    # the first replica at a height appends and indexes it. Every replica
+    # drops the block's post-state (a late replica may have set it again by
+    # executing the block), so a chain block holds one only while a round does.
+    block.__dict__.pop("_post", None)
     height = block.header.height
     for peer in network.nodes.values():
         if peer.next_height == height + 1 and peer.chain.tip.header == block.header:
@@ -397,7 +394,6 @@ def _finalize(network: Network, node: ValidatorNode, block: Block, post: WorldSt
         # replaces the round, and a synced block is validated just before.
         chain = Chain(blocks=(*node.chain.blocks, block))
         _index_txs(network, block)
-        network.executed = {k: v for k, v in network.executed.items() if v[0] > height}
     node.chain = chain
     node.state = post
     node.round = Round(entered=network.tick)
@@ -405,25 +401,20 @@ def _finalize(network: Network, node: ValidatorNode, block: Block, post: WorldSt
     _select_txs(node, limit=len(node.mempool))
 
 
-def _validate_proposal(network: Network, node: ValidatorNode, block: Block) -> WorldState | None:
-    """The post-state of *block* on *node*, or None."""
-    known = network.executed.get(hash_header(block.header))
+def _validate_proposal(node: ValidatorNode, block: Block) -> WorldState | None:
+    """The post-state of *block* on *node*, or None; kept on the block as ``_post``."""
     try:
         check_link(node.chain.tip.header, block)
-        if known is None:
-            post = execute_block(node.state, block)
+        if "_post" not in block.__dict__:
+            block.__dict__["_post"] = execute_block(node.state, block)
     except ChainError:
         return None
-    if known is not None:
-        _, post, events = known
-        return post if block.events == events else None
-    network.executed[hash_header(block.header)] = (block.header.height, post, block.events)
-    return post
+    return block.__dict__["_post"]
 
 
 def _adopt_block(network: Network, node: ValidatorNode, block: Block) -> bool:
     """Validate and finalize a block learned through sync."""
-    post = _validate_proposal(network, node, block)
+    post = _validate_proposal(node, block)
     if post is None:
         return False
     _finalize(network, node, block, post)
@@ -509,7 +500,7 @@ def _learn(network: Network, node: ValidatorNode, block: Block) -> str | None:
     """The header hash of *block*, once it is valid in the node's round."""
     rnd, block_hash = node.round, hash_header(block.header)
     if block_hash not in rnd.proposals:
-        post = _validate_proposal(network, node, block)
+        post = _validate_proposal(node, block)
         if post is None:
             return None
         rnd.proposals[block_hash] = (block, post)
@@ -564,7 +555,7 @@ def _local_actions(network: Network, node: ValidatorNode) -> None:
         if not txs:
             return
         block = seal_block(node.chain.tip.header, txs, post, events, node.id, network.tick)
-        network.executed[hash_header(block.header)] = (height, post, block.events)
+        block.__dict__["_post"] = post
     rnd.sent.add((PROPOSAL, rnd.view))
     network.broadcast(
         PROPOSAL, node.id,

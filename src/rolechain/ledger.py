@@ -5,7 +5,8 @@ state after applying it (``state_root``), and to the previous header
 (``prev_hash``), so any byte of committed history is covered by some digest
 a verifier recomputes. Timestamps are logical ticks handed in by consensus;
 nothing here reads a clock or remembers a block it built or executed, so
-every audit re-executes. Empty blocks are legal.
+every audit re-executes. A block may carry the post-state consensus keeps
+on it as ``_post``; nothing here reads it. Empty blocks are legal.
 
 One caveat is inherent to hash chains: the tip header's own non-root fields
 (proposer, timestamp) are only pinned by the *next* block. ``verify_chain``,

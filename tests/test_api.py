@@ -3,6 +3,7 @@ import http.client
 import json
 import socket
 import threading
+import time
 
 import pytest
 import requests
@@ -311,6 +312,24 @@ def test_framed_bad_post_is_refused_and_the_connection_still_answers(cluster, he
         resp, body = _raw_post(sock, headers)
         assert resp.status == 400 and body["code"] == "Malformed"
         assert resp.getheader("Connection") is None
+        assert _raw_status(sock)["height"] == 0
+
+
+@pytest.mark.parametrize("sent", [
+    b"",
+    b"POST /v1/transactions HTTP/1.1\r\nContent-Length: 100\r\n\r\n" + b"{" * 10,
+], ids=["idle", "partial body"])
+def test_a_stalled_request_is_disconnected_after_the_timeout(cluster, monkeypatch, sent):
+    """A client that sends nothing, or only part of the body it framed, loses the connection."""
+    s0, _ = cluster
+    assert api._Handler.timeout == api.REQUEST_TIMEOUT_S  # not the stdlib's None: no timeout
+    monkeypatch.setattr(api._Handler, "timeout", 0.5)
+    with socket.create_connection(("127.0.0.1", s0.port), timeout=10) as sock:
+        sock.sendall(sent)
+        start = time.monotonic()
+        assert sock.recv(1) == b""  # closed, with no reply
+        assert time.monotonic() - start < 5
+    with socket.create_connection(("127.0.0.1", s0.port), timeout=10) as sock:
         assert _raw_status(sock)["height"] == 0
 
 

@@ -1,14 +1,16 @@
 """The execution memo: replicas in one process share one execution of a block.
 
-``Network.executed`` keeps, by header hash, the post-state and events of
-every block the proposer sealed from its selection fold or a replica
-executed, and a replica validating a block found there reuses them. These
-tests pin what that may not change:
+A block object carries the post-state of its fold as ``_post``: the
+proposer's selection fold sets it at the seal, and a replica that executes
+a block without one keeps the result there. A replica validating a block
+that carries one reuses it, and every replica drops it when it finalizes
+the block. These tests pin what that may not change:
 
-* a differential run against the same schedules with every lookup missing
-  gives the same chains, roots, report and trace digest;
-* a block whose header hash is memoized but whose body was altered is still
-  refused;
+* a differential run against the same schedules with every memo dropped
+  gives the same chains, roots, report and trace digest, and after either
+  run no chain block carries a ``_post``;
+* a copy of a memoized block whose body was altered under the same header
+  is still refused;
 * the audits (``verify_chain``, ``replay``) never read the memo;
 * a replica left behind on an old state does not keep later states alive;
 * ``build_block`` leaves its input state as it was.
@@ -52,10 +54,6 @@ SETTLE_TICKS = 800
 N_NODES = 4
 
 
-# Every lookup in the table misses, and what is written to it is lost.
-_NEVER = property(lambda network: {}, lambda network, value: None)
-
-
 def _window(draw, min_len: int, max_len: int) -> tuple[int, int]:
     start = draw(st.integers(0, HORIZON // 2))
     return start, start + draw(st.integers(min_len, max_len))
@@ -97,6 +95,7 @@ def _run(genesis_file, vals, schedule, rng_seed, submissions):
             submit_tx(net, tx, via=vals[via])
         step(net)
     step_until_quiescent(net, SETTLE_TICKS)
+    assert not any("_post" in b.__dict__ for n in net.nodes.values() for b in n.chain.blocks)
     chains = {v: [hash_header(b.header) for b in net.nodes[v].chain.blocks] for v in vals}
     roots = {v: state_root(net.nodes[v].state) for v in vals}
     return chains, roots, report(net)
@@ -121,17 +120,21 @@ def test_memo_changes_no_outcome_under_random_fault_schedules(
         submissions.setdefault(tick, []).append((tx, via))
 
     executes = []
-    original = consensus.execute_block
+    original, validate = consensus.execute_block, consensus._validate_proposal
 
     def counted(state, block):
         executes[-1] += 1
         return original(state, block)
 
+    def forgetful(node, block):  # every memo is dropped before it is read
+        block.__dict__.pop("_post", None)
+        return validate(node, block)
+
     with mock.patch.object(consensus, "execute_block", counted):
         executes.append(0)
         shipped = _run(genesis_file, vals, schedule, rng_seed, submissions)
         executes.append(0)
-        with mock.patch.object(Network, "executed", _NEVER, create=True):
+        with mock.patch.object(consensus, "_validate_proposal", forgetful):
             missing = _run(genesis_file, vals, schedule, rng_seed, submissions)
 
     assert shipped == missing
@@ -161,15 +164,15 @@ def test_altered_body_under_a_memoized_header_is_refused(genesis_file, txf, kind
     net = Network(NetworkConfig(validators=vals), build_genesis_state(genesis_file))
     node = net.nodes[vals[0]]
     proposer = net.proposer_for(1, 0)
-    # The proposer seals its block from its selection fold and records it.
+    # The proposer seals its block from its selection fold and keeps the fold's post-state on it.
     net.nodes[proposer].admit(txf.register("alice", "acme", "member"), net.tick)
     consensus._local_actions(net, net.nodes[proposer])
     (block,) = {m.body["block"] for m in net.queue}
     net.queue = []
     block_hash = hash_header(block.header)
-    assert block_hash in net.executed
+    assert "_post" in block.__dict__
     bad = _tampered(block, txf.register("bob", "acme", "member"), part)
-    assert hash_header(bad.header) == block_hash
+    assert hash_header(bad.header) == block_hash and "_post" not in bad.__dict__
 
     if kind == PROPOSAL:
         body = {"height": 1, "view": 0, "proposer": proposer, "block": bad}
@@ -184,7 +187,7 @@ def test_altered_body_under_a_memoized_header_is_refused(genesis_file, txf, kind
         body["block"] = block
         _deliver(net, node, kind, proposer, body)
     assert node.round.proposals[block_hash][0] == block
-    assert node.round.proposals[block_hash][1] is net.executed[block_hash][1]
+    assert node.round.proposals[block_hash][1] is block.__dict__["_post"]
 
 
 def test_commit_whose_block_fails_validation_counts_but_is_not_adopted(genesis_file, txf):
@@ -212,7 +215,7 @@ def test_commit_whose_block_fails_validation_counts_but_is_not_adopted(genesis_f
 
 @pytest.fixture
 def built_chain(genesis_file, txf):
-    """A chain committed by a Network in this process, and a wrong memo entry for each block."""
+    """A chain committed by a Network in this process, with a wrong memo on each block."""
     vals = list(genesis_file.validators)
     genesis = build_genesis_state(genesis_file)
     net = Network(NetworkConfig(validators=vals, rng_seed=5), genesis)
@@ -225,10 +228,10 @@ def built_chain(genesis_file, txf):
         assert step_until_quiescent(net, 100)
     chain = net.nodes[vals[0]].chain
     assert chain.height == 3
-    # Finalizing pruned the table; plant an entry for every block whose
-    # post-state and events are wrong, so an audit that read it would fail.
+    # Finalizing dropped every memo; plant a wrong post-state on every
+    # block, so an audit that read it would fail.
     for block in chain.blocks[1:]:
-        net.executed[hash_header(block.header)] = (block.header.height, genesis, ())
+        block.__dict__["_post"] = genesis
     return genesis, chain
 
 
@@ -279,8 +282,8 @@ def test_replica_crashed_forever_keeps_no_later_state_alive(genesis_file, txf):
     assert quiescent(net)
     assert net.nodes[vals[3]].chain.height == 0
     assert _live_states() == after_n
-    # Finalizing pruned every executed block at or below the finalized height.
-    assert net.executed == {}
+    # Finalizing dropped the memo from every block it finalized.
+    assert not any("_post" in b.__dict__ for n in net.nodes.values() for b in n.chain.blocks)
 
 
 def test_build_block_leaves_its_input_state_unchanged(genesis_file, txf):

@@ -23,15 +23,16 @@ WRITES = 20
 # one the gossip carries, and the proposer's selection, whose fold is its
 # block's fold.
 VERIFIES_PER_TX = 2
-# Calls to codec.canonical_dumps: 1,146 on this run, 1,002 of them for the trace
+# Calls to codec.canonical_dumps: 1,143 on this run, 1,002 of them for the trace
 # digest (one per delivered message, 801, and one body digest per broadcast).
-ENCODES_PER_TX = 57.3
+ENCODES_PER_TX = 57.15
 # Calls to codec.digest made by SignedTransaction.tx_id: each tx object hashes
 # its id once, and every replica holds the objects its sender sent.
 TX_ID_DIGESTS_PER_TX = 1
 # Calls to codec.digest made by ledger.hash_header: each header object hashes
-# once, so one per block plus each replica's own genesis header (24 on either run).
-HEADER_HASHES_PER_TX = 1.2
+# once, so one per block plus the one genesis header the replicas share (21 on
+# either run).
+HEADER_HASHES_PER_TX = 1.05
 # Calls to codec.digest made by ledger.tx_root: the proposer's seal, which
 # keeps the root on the one block every replica's check_link reads.
 TX_ROOTS_PER_TX = 1
@@ -42,8 +43,8 @@ CLONES_PER_TX = 1
 # finalizer extends its chain without checking the link again.
 CHECK_LINKS_PER_TX = 4
 # Encodes per NodeHandle.submit on a node service, whose network keeps no trace
-# digest: 164 on this run, the store line's one included.
-ENCODES_PER_NODE_WRITE = 8.2
+# digest: 161 on this run, the store line's one included.
+ENCODES_PER_NODE_WRITE = 8.05
 # Block.to_dict calls per NodeHandle.submit: the store line's; message bodies
 # carry the block itself and an untraced network digests none of them.
 BLOCK_DICTS_PER_NODE_WRITE = 1
