@@ -148,7 +148,7 @@ def to_wire(value: Any) -> Any:
             if not isinstance(k, str):
                 raise TypeError(f"non-string key in canonical JSON: {k!r}")
         return {k: to_wire(v) for k, v in value.items()}
-    if isinstance(value, frozenset):
+    if isinstance(value, (set, frozenset)):
         return [to_wire(v) for v in sorted(value)]
     if isinstance(value, float):
         raise TypeError("floats are not allowed in canonical JSON")

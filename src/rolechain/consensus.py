@@ -154,6 +154,7 @@ class NetworkConfig:
     drop_rules: list[DropRule] = field(default_factory=list)
 
     def __post_init__(self):
+        codec.require_int(self.rng_seed, "rng_seed")
         named = [r.node for r in self.crash_rules]
         named += [i for r in self.partition_rules for group in r.groups for i in group]
         named += [i for r in self.drop_rules for i in (r.src, r.dst)]

@@ -66,9 +66,9 @@ def _check_id(value: str, label: str) -> str:
     return value
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class Permission(codec.Record):
-    """A (resource, action) capability, e.g. ("ledger", "read")."""
+    """A (resource, action) capability, e.g. ("ledger", "read"), ordered by those fields."""
 
     resource: str
     action: str
@@ -275,14 +275,22 @@ _SETS = {"pra": _LoggedSet, "ura": _UraSet}
 
 
 @dataclass
-class WorldState:
-    """The full replicated state; see module docstring for the relations."""
+class WorldState(codec.Record):
+    """The full replicated state: a record of the relations in the module docstring."""
 
     users: dict[str, UserRecord] = field(default_factory=dict)
     orgs: dict[str, OrgRecord] = field(default_factory=dict)
     ura: set[tuple[str, str, str]] = field(default_factory=set)
     pra: set[tuple[str, str, Permission]] = field(default_factory=set)
     nonces: dict[str, int] = field(default_factory=dict)
+
+    decoders = {
+        "users": lambda users: {a: UserRecord.from_dict(u) for a, u in users.items()},
+        "orgs": lambda orgs: {o: OrgRecord.from_dict(rec) for o, rec in orgs.items()},
+        "ura": lambda rows: {(u, o, r) for u, o, r in rows},
+        "pra": lambda rows: {(o, r, Permission.from_dict(p)) for o, r, p in rows},
+        "nonces": dict,
+    }
 
     # What the last state_root over this state or an ancestor left: one
     # section (a list of chunks) per relation, and the root. Not a field, so
@@ -309,25 +317,6 @@ class WorldState:
             object.__setattr__(new, name, type(old)(old, log))
         return new
 
-    def to_dict(self) -> dict:
-        return {
-            "nonces": {a: n for a, n in sorted(self.nonces.items())},
-            "orgs": {o: rec.to_dict() for o, rec in sorted(self.orgs.items())},
-            "pra": [[o, r, p.to_dict()] for o, r, p in sorted(self.pra, key=_pra_order)],
-            "ura": [list(t) for t in sorted(self.ura)],
-            "users": {a: rec.to_dict() for a, rec in sorted(self.users.items())},
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "WorldState":
-        return cls(
-            users={a: UserRecord.from_dict(u) for a, u in d["users"].items()},
-            orgs={o: OrgRecord.from_dict(rec) for o, rec in d["orgs"].items()},
-            ura={(u, o, r) for u, o, r in d["ura"]},
-            pra={(o, r, Permission.from_dict(p)) for o, r, p in d["pra"]},
-            nonces=dict(d["nonces"]),
-        )
-
 
 def _entry_text(key: Any, value: Any) -> bytes:
     """Canonical bytes of the object entry ``"key":value`` of a dict relation."""
@@ -339,18 +328,8 @@ def _member_text(_key, member: tuple) -> bytes:
     return codec.canonical_bytes(member)
 
 
-def _pra_order(triple: tuple[str, str, Permission]) -> tuple[str, str, str, str]:
-    return (triple[0], triple[1], triple[2].resource, triple[2].action)
-
-
-# Per relation: its entry encoder and its sort key (None: the key itself).
-_CODERS = (
-    (_entry_text, None),
-    (_entry_text, None),
-    (_member_text, _pra_order),
-    (_member_text, None),
-    (_entry_text, None),
-)
+# Per relation, its entry encoder.
+_ENCODERS = (_entry_text, _entry_text, _member_text, _member_text, _entry_text)
 _HEADS = (b'{"nonces":{', b'},"orgs":{', b'},"pra":[', b'],"ura":[', b'],"users":{')
 
 
@@ -373,7 +352,7 @@ def _chunked(keys: list, texts: list) -> list[tuple]:
     return [(keys[a:b], texts[a:b], b",".join(texts[a:b])) for a, b in zip(cuts, cuts[1:])]
 
 
-def _splice(section: list, changes: dict, encode, order) -> list:
+def _splice(section: list, changes: dict, encode) -> list:
     """*section* (a list of chunks) with *changes* (key -> value or ``_ABSENT``) applied.
 
     Neither *section* nor any of its chunks is mutated: the result is a new
@@ -383,8 +362,6 @@ def _splice(section: list, changes: dict, encode, order) -> list:
     so a root costs O(change · log n) Python steps plus the copies and
     joins of the chunks it touched.
     """
-    if order is not None:
-        changes = {order(k): v for k, v in changes.items()}
     touched: dict[int, list] = {}
     for key in sorted(changes):
         at = max(bisect_right(section, key, key=_first_key) - 1, 0)
@@ -448,8 +425,8 @@ def state_root(state: WorldState) -> str:
     if root is not None and not any(logs):
         return root
     sections = tuple(
-        _splice(section, log, *coder) if log else section
-        for section, log, coder in zip(sections, logs, _CODERS)
+        _splice(section, log, encode) if log else section
+        for section, log, encode in zip(sections, logs, _ENCODERS)
     )
     # Feed the preimage chunk by chunk, so no copy of a whole section is made.
     digest = hashlib.sha256()

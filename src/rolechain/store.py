@@ -60,7 +60,9 @@ def build_genesis_state(genesis: GenesisFile) -> WorldState:
             raise ValueError(f"duplicate org {org.org_id!r} in genesis")
         if ROLE_NONE in org.role_catalog:
             raise ValueError(f"role id {ROLE_NONE!r} is reserved")
-        for policy in org.role_catalog.values():
+        for key, policy in org.role_catalog.items():
+            if key != policy.role_id:
+                raise ValueError(f"org {org.org_id!r} lists role {policy.role_id!r} under key {key!r}")
             if policy.max_holders is not None:
                 codec.require_int(policy.max_holders, f"max_holders of role {policy.role_id!r}")
         orgs[org.org_id] = org

@@ -472,6 +472,10 @@ def test_json_output_round_trips(runner, tmp_path, node_server, wallets):
     assert {"accepted", "tx_id", "committed_height", "node_height"} <= set(doc)
 
 
+# Scenario seeds that are not an exact int, by the name of their kind.
+_BAD_SEEDS = {"list": [1], "float": 2.5, "str": "7", "bool": True}
+
+
 @pytest.fixture
 def probe_files(tmp_path, genesis_file, genesis_state, wallets):
     """Inputs that do not decode, next to the valid files they are made from."""
@@ -489,6 +493,7 @@ def probe_files(tmp_path, genesis_file, genesis_state, wallets):
     for name, role, field, value in (
         ("genesis-float-max-holders", "contractor", "max_holders", 2.5),
         ("genesis-str-self-assignable", "auditor", "self_assignable", "false"),
+        ("genesis-key-not-role-id", "member", "role_id", "owner"),
     ):
         doc = json.loads(json.dumps(genesis))
         doc["orgs"][0]["role_catalog"][role][field] = value
@@ -499,7 +504,10 @@ def probe_files(tmp_path, genesis_file, genesis_state, wallets):
     write("wallet-str-iterations", {**wallet, "kdf_iterations": "10"})
     save_wallet(wallets["v0"], tmp_path / "wallet.json")
     files["wallet"] = str(tmp_path / "wallet.json")
-    for name in ("genesis-no-chain-id", "genesis-list", "genesis-float-max-holders"):
+    for name in (
+        "genesis-no-chain-id", "genesis-list", "genesis-float-max-holders",
+        "genesis-key-not-role-id",
+    ):
         write(f"svc-{name}", {
             "listen": "127.0.0.1:0", "data_dir": str(tmp_path / "data"),
             "genesis": files[name], "node_key": files["wallet"],
@@ -521,6 +529,8 @@ def probe_files(tmp_path, genesis_file, genesis_state, wallets):
             crash_rules=[{"node": "1", "from_tick": 0}])),
         ("crash-str-tick", lambda sc: sc["network"].update(
             crash_rules=[{"node": 1, "from_tick": "0"}])),
+        *((f"rng-seed-{kind}", lambda sc, seed=seed: sc["network"].update(rng_seed=seed))
+          for kind, seed in _BAD_SEEDS.items()),
     ):
         scenario = json.loads(json.dumps(BASE))
         edit(scenario)
@@ -545,11 +555,17 @@ _PROBES = {
     "verify-genesis-str-self-assignable": (
         "chain verify {chain} --genesis {genesis-str-self-assignable}", None, 3,
         "self_assignable"),
+    "verify-genesis-key-not-role-id": (
+        "chain verify {chain} --genesis {genesis-key-not-role-id}", None, 3,
+        "lists role 'owner' under key 'member'"),
     "serve-genesis-float-max-holders": (
         "node serve --config {svc-genesis-float-max-holders}", None, 3, "max_holders"),
     "serve-genesis-no-chain-id": (
         "node serve --config {svc-genesis-no-chain-id}", None, 3, "chain_id"),
     "serve-genesis-list": ("node serve --config {svc-genesis-list}", None, 3, "GenesisFile"),
+    "serve-genesis-key-not-role-id": (
+        "node serve --config {svc-genesis-key-not-role-id}", None, 3,
+        "lists role 'owner' under key 'member'"),
     "serve-config-list": ("node serve --config {svc-list}", None, 3, "not a JSON object"),
     **{f"serve-{key}-not-str": (f"node serve --config {{svc-{key}-not-str}}", None, 3, repr(key))
        for key in ("listen", "data_dir", "node_key", "genesis")},
@@ -574,6 +590,8 @@ _PROBES = {
     "sim-crash-node-9": ("sim run {scenario-crash-node-9}", None, 3, "names node 9"),
     "sim-crash-str-node": ("sim run {scenario-crash-str-node}", None, 3, "CrashRule node"),
     "sim-crash-str-tick": ("sim run {scenario-crash-str-tick}", None, 3, "CrashRule from_tick"),
+    **{f"sim-rng-seed-{kind}": (f"sim run {{scenario-rng-seed-{kind}}}", None, 3, "rng_seed")
+       for kind in _BAD_SEEDS},
     "config-list": ("--config {config-list} wallet show", None, 2, "not a JSON object"),
     "seed-hex-not-hex": ("wallet create --seed-hex zz --path {wallet}.new", None, 2, "hex"),
 }

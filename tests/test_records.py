@@ -7,15 +7,18 @@ and that a genesis file's bytes match a serializer written out by hand.
 """
 
 import dataclasses
+import importlib
 import json
+import pkgutil
 
 import pytest
 
+import rolechain
 from rolechain import codec
 from rolechain.ledger import build_block, genesis_block
 from rolechain.payloads import payload_from_dict
 from rolechain.sco import PermissionCheck
-from rolechain.state import UserRecord, state_root
+from rolechain.state import UserRecord, apply_transaction, state_root
 from rolechain.store import GenesisFile, build_genesis_state, load_genesis, save_genesis
 
 from oracles import reference_genesis_bytes
@@ -46,6 +49,10 @@ def samples(genesis_file, genesis_state, txf, wallets):
     acme, globex = genesis_file.orgs
     registered = txs[0].payload
     assert len(block.events) == 4
+    state = genesis_state
+    for i, tx in enumerate(txs[:2]):  # a registration and a grant
+        state, _ = apply_transaction(state, tx, height=1, tx_index=i)
+    assert all(getattr(state, name) for name in codec._field_names(type(state)))
     return [
         genesis_file,
         acme,
@@ -63,6 +70,7 @@ def samples(genesis_file, genesis_state, txf, wallets):
             address=registered.user, public_key=registered.public_key,
             password_digest=registered.password_digest, registered_at=(1, 0),
         ),
+        state,
     ]
 
 
@@ -90,6 +98,23 @@ def test_a_document_that_is_not_the_record_raises_value_error(cls, samples):
             pytest.fail(f"{cls.__name__}.from_dict({doc!r}) raised {exc!r}")
         else:
             pytest.fail(f"{cls.__name__}.from_dict({doc!r}) decoded")
+
+
+def test_only_the_record_codec_reads_and_writes_records():
+    """One way to (de)serialize a record: every class takes both from ``codec.Record``.
+
+    Only ``_Payload`` (which adds its ``kind``) and ``Event`` (whose tuple of
+    attribute pairs is an object on the wire) write their own ``to_dict``.
+    """
+    defines = {"from_dict": set(), "to_dict": set()}
+    for info in pkgutil.iter_modules(rolechain.__path__):
+        module = importlib.import_module(f"rolechain.{info.name}")
+        for cls in vars(module).values():
+            if isinstance(cls, type) and cls.__module__ == module.__name__:
+                for name, owners in defines.items():
+                    if name in vars(cls):
+                        owners.add(cls.__qualname__)
+    assert defines == {"from_dict": {"Record"}, "to_dict": {"Record", "_Payload", "Event"}}
 
 
 def test_a_value_error_from_a_decoder_passes_through_unchanged(genesis_file):

@@ -63,13 +63,13 @@ def _assert_sections_live(state: WorldState) -> None:
     """
     live = state.to_dict()
     expected = {
-        name: (list(live[name]), [codec.canonical_bytes({k: v})[1:-1] for k, v in live[name].items()])
+        name: (
+            sorted(live[name]),
+            [codec.canonical_bytes({k: v})[1:-1] for k, v in sorted(live[name].items())],
+        )
         for name in ("nonces", "orgs", "users")
     }
-    expected["pra"] = (
-        sorted((o, r, p.resource, p.action) for o, r, p in state.pra),
-        [codec.canonical_bytes(entry) for entry in live["pra"]],
-    )
+    expected["pra"] = (sorted(state.pra), [codec.canonical_bytes(entry) for entry in live["pra"]])
     expected["ura"] = (sorted(state.ura), [codec.canonical_bytes(entry) for entry in live["ura"]])
     sections, _ = state._fragments
     for name, chunks in zip(RELATIONS, sections):

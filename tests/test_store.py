@@ -213,6 +213,17 @@ def test_genesis_validation(genesis_file, wallets):
                                         orgs=(reserved,)))
 
 
+@pytest.mark.parametrize("key, role_id", [("member", "owner"), ("x", "none")])
+def test_genesis_refuses_a_catalog_key_that_is_not_its_role_id(genesis_file, wallets, key, role_id):
+    """A catalog key names the role the policy is for; ``none`` cannot hide under another key."""
+    from rolechain.state import OrgRecord, RolePolicy
+
+    org = OrgRecord("org", frozenset({wallets["admin_acme"].address}), {key: RolePolicy(role_id)})
+    genesis = GenesisFile(chain_id="x", validators=genesis_file.validators, orgs=(org,))
+    with pytest.raises(ValueError, match=f"org 'org' lists role '{role_id}' under key '{key}'"):
+        build_genesis_state(genesis)
+
+
 @pytest.mark.parametrize("case", ["store created", "wallet saved", "torn tail truncated"])
 def test_each_durable_change_is_fsynced(tmp_path, chain10, wallets, monkeypatch, case):
     """Record what each ``os.fsync`` call synced: (is a directory, inode)."""
