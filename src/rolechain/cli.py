@@ -46,6 +46,11 @@ def _load_cli_config(path: str | None) -> dict:
         raise click.UsageError(f"config file {p} is not valid JSON: {exc}")
     if not isinstance(config, dict):
         raise click.UsageError(f"config file {p} is not a JSON object")
+    for key in ("node_url", "wallet_path"):
+        if not isinstance(config.get(key, ""), str):
+            raise click.UsageError(f"config file {p}: {key} must be a string, not {config[key]!r}")
+    if config.get("output", "human") not in ("human", "json"):
+        raise click.UsageError(f"config file {p}: output must be human or json, not {config['output']!r}")
     return config
 
 

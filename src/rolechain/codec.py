@@ -110,7 +110,8 @@ class Record:
     """Mixin for a frozen dataclass whose wire form is its own fields, by name.
 
     Each field is written through :func:`to_wire` and read back as is,
-    except that a field named in ``decoders`` is rebuilt (and checked) by it.
+    except that a field named in ``decoders`` is rebuilt (and checked) by it,
+    and one declared ``str``, ``int`` or ``bool`` must hold that exact type.
     A document that is not the record (a missing field, a wrong shape) raises
     ``ValueError``; a decoder's or ``__post_init__``'s own passes unchanged.
     """
@@ -124,10 +125,14 @@ class Record:
     def from_dict(cls, d: dict):
         decoders = cls.decoders
         try:
-            return cls(**{
+            fields = {
                 name: decoders[name](d[name]) if name in decoders else d[name]
                 for name in _field_names(cls)
-            })
+            }
+            for name, (kind, prose) in _declared_scalars(cls).items():
+                if type(fields[name]) is not kind:
+                    raise ValueError(f"{cls.__name__} {name} must be {prose}, not {fields[name]!r}")
+            return cls(**fields)
         except (LookupError, TypeError, AttributeError) as exc:
             raise ValueError(f"not a {cls.__name__}: {exc!r}") from exc
 
@@ -158,3 +163,13 @@ def to_wire(value: Any) -> Any:
 @functools.cache
 def _field_names(cls) -> tuple[str, ...]:
     return tuple(sorted(f.name for f in dataclasses.fields(cls)))
+
+
+_DECLARED = {"str": (str, "a string"), "int": (int, "an integer"), "bool": (bool, "a boolean")}
+
+
+@functools.cache
+def _declared_scalars(cls) -> dict[str, tuple[type, str]]:
+    """The fields of *cls* with no decoder that are declared ``str``, ``int`` or ``bool``."""
+    types = {f.name: getattr(f.type, "__name__", f.type) for f in dataclasses.fields(cls)}
+    return {n: _DECLARED[t] for n, t in types.items() if t in _DECLARED and n not in cls.decoders}

@@ -140,7 +140,6 @@ class SimTimeout(RoleChainError):
 
     def __init__(self, ticks: int, report: dict):
         super().__init__(f"not quiescent after {ticks} ticks")
-        self.ticks = ticks
         self.report = report
 
     @property

@@ -18,7 +18,6 @@ from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 
 SEED_BYTES = 32
 PUBLIC_KEY_BYTES = 32
-SIGNATURE_BYTES = 64
 ADDRESS_BYTES = 20
 
 
@@ -71,10 +70,3 @@ def seal(key: bytes, plaintext: bytes, salt: bytes) -> bytes:
 def unseal(key: bytes, ciphertext: bytes, salt: bytes) -> bytes:
     """Decrypt and authenticate; raises InvalidTag on a wrong key or tamper."""
     return AESGCM(key).decrypt(_seal_nonce(salt), ciphertext, b"")
-
-
-__all__ = [
-    "SEED_BYTES", "PUBLIC_KEY_BYTES", "SIGNATURE_BYTES", "ADDRESS_BYTES",
-    "keypair_from_seed", "derive_address", "sign", "verify",
-    "derive_key", "seal", "unseal", "InvalidTag",
-]

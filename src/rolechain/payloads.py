@@ -20,13 +20,6 @@ KIND_GRANT_PERMISSION = "grant_permission"
 KIND_REVOKE_PERMISSION = "revoke_permission"
 
 
-def _require_ids(payload, *names: str) -> None:
-    """Refuse an id field that is not a string: it would reach the state as a key."""
-    for name in names:
-        if not isinstance(getattr(payload, name), str):
-            raise ValueError(f"{name} must be a string")
-
-
 class _Payload(codec.Record):
     """A contract call's wire form: its fields plus its ``kind``."""
 
@@ -50,7 +43,6 @@ class RegisterUserPayload(_Payload):
         codec.require_hex(self.user, 20, "user address")
         codec.require_hex(self.public_key, 32, "public key")
         codec.require_hex(self.password_digest, 32, "password digest")
-        _require_ids(self, "org", "requested_role")
 
 
 @dataclass(frozen=True)
@@ -64,7 +56,6 @@ class UpdateUserRolePayload(_Payload):
 
     def __post_init__(self):
         codec.require_hex(self.user, 20, "user address")
-        _require_ids(self, "org", "old_role", "new_role")
         if self.old_role == self.new_role:
             raise ValueError("old_role and new_role must differ")
 
@@ -78,9 +69,6 @@ class _PermissionEdit(_Payload):
     permission: Permission
 
     decoders = {"permission": Permission.from_dict}
-
-    def __post_init__(self):
-        _require_ids(self, "org", "role")
 
 
 class GrantPermissionPayload(_PermissionEdit):

@@ -49,7 +49,7 @@ from .payloads import (
     RevokePermissionPayload,
     UpdateUserRolePayload,
 )
-from .state import OrgRecord, Permission, RolePolicy
+from .state import OrgRecord, RolePolicy
 from .store import GenesisFile, build_genesis_state
 from .wallet import Wallet, create_wallet, sign_transaction
 
@@ -154,27 +154,28 @@ def _work_item(item: dict, actor, validators: list[str]) -> WorkItem:
     """*item* checked and prepared; *actor* maps an actor name to its wallet or raises."""
     op = item["op"]
     wallet = actor(item["actor"])
+    # Each payload is decoded as a posted one is, so its fields get the same checks.
     if op == "register_user":
-        payload = RegisterUserPayload(
-            user=wallet.address,
-            public_key=wallet.public_key,
-            password_digest=wallet.password_digest,
-            org=item["org"],
-            requested_role=item["role"],
-        )
+        payload = RegisterUserPayload.from_dict({
+            "user": wallet.address,
+            "public_key": wallet.public_key,
+            "password_digest": wallet.password_digest,
+            "org": item["org"],
+            "requested_role": item["role"],
+        })
     elif op == "update_user_role":
-        payload = UpdateUserRolePayload(
-            user=actor(item["user"]).address,
-            org=item["org"],
-            old_role=item["old_role"],
-            new_role=item["new_role"],
-        )
+        payload = UpdateUserRolePayload.from_dict({
+            "user": actor(item["user"]).address,
+            "org": item["org"],
+            "old_role": item["old_role"],
+            "new_role": item["new_role"],
+        })
     elif op in ("grant_permission", "revoke_permission"):
         edit = GrantPermissionPayload if op == "grant_permission" else RevokePermissionPayload
-        payload = edit(
-            org=item["org"], role=item["role"],
-            permission=Permission(item["resource"], item["action"]),
-        )
+        payload = edit.from_dict({
+            "org": item["org"], "role": item["role"],
+            "permission": {"resource": item["resource"], "action": item["action"]},
+        })
     else:
         raise ValueError(f"unknown workload op {op!r}")
     via = item.get("via")

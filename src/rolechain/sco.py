@@ -20,6 +20,7 @@ from .state import (
     Event,
     Permission,
     WorldState,
+    _check_id,
     roles_held,
 )
 
@@ -71,7 +72,7 @@ class PermissionCheck(codec.Record):
     granted: bool
     via_roles: frozenset[str]
 
-    decoders = {"via_roles": frozenset}
+    decoders = {"via_roles": lambda roles: frozenset(_check_id(r, "a via role") for r in roles)}
 
 
 def check_permission(

@@ -31,13 +31,12 @@ from .payloads import RegisterUserPayload, SignedTransaction, UpdateUserRolePayl
 from .state import (
     EVENT_USER_REGISTERED,
     EVENT_USER_ROLE_UPDATED,
+    ROLE_NONE,
     Event,
     UserRecord,
     WorldState,
     role_holder_count,
 )
-
-ROLE_NONE = "none"  # reserved: never a catalog role, legal only as old_role
 
 
 def register_user(

@@ -43,6 +43,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from .payloads import SignedTransaction
 
 MAX_ID_LENGTH = 64
+ROLE_NONE = "none"  # reserved: never a catalog role, legal only as an update's old_role
 # Entries per chunk of a state_root section (see _chunked): a write re-joins
 # only the chunks its keys fall in, so this bounds the bytes one key costs.
 # Bounds of 64, 128 and 256 timed alike at 3,200 users; the smallest is kept.
@@ -97,13 +98,16 @@ class RolePolicy(codec.Record):
 
     def __post_init__(self):
         _check_id(self.role_id, "role id")
-        if self.max_holders is not None and self.max_holders < 1:
-            raise ValueError("max_holders must be positive or None")
+        if self.role_id == ROLE_NONE:
+            raise ValueError(f"role id {ROLE_NONE!r} is reserved")
+        if self.max_holders is not None:
+            if codec.require_int(self.max_holders, f"max_holders of role {self.role_id!r}") < 1:
+                raise ValueError("max_holders must be positive or None")
 
 
 @dataclass(frozen=True)
 class OrgRecord(codec.Record):
-    """An organization fixed at genesis: its admins and its role catalog."""
+    """An organization fixed at genesis: its admins and its role catalog, keyed by role id."""
 
     org_id: str
     admins: frozenset[str]
@@ -118,6 +122,9 @@ class OrgRecord(codec.Record):
         _check_id(self.org_id, "org id")
         if not self.admins:
             raise ValueError(f"org {self.org_id!r} has no admins")
+        for key, policy in self.role_catalog.items():
+            if key != policy.role_id:
+                raise ValueError(f"org {self.org_id!r} lists role {policy.role_id!r} under key {key!r}")
 
 
 @dataclass(frozen=True)
@@ -127,14 +134,15 @@ class UserRecord(codec.Record):
     password_digest: str
     registered_at: tuple[int, int]  # (block height, tx index)
 
-    decoders = {"registered_at": lambda r: (r[0], r[1])}
+    decoders = {"registered_at": lambda r: (codec.require_int(r[0], "registered_at"),
+                                            codec.require_int(r[1], "registered_at"))}
 
 
 def _event_attributes(attrs: dict) -> tuple[tuple[str, Any], ...]:
-    attrs = dict(attrs)
-    if isinstance(attrs.get("permission"), dict):
-        attrs["permission"] = Permission.from_dict(attrs["permission"])
-    return tuple(sorted(attrs.items()))
+    """An event's attributes: ids, and a grant's or revoke's permission."""
+    return tuple(sorted(
+        (k, Permission.from_dict(v) if k == "permission" else _check_id(v, k)) for k, v in attrs.items()
+    ))
 
 
 @dataclass(frozen=True)
@@ -269,6 +277,20 @@ class _UraSet(_LoggedSet):
         self.holders[org, role] = self.holders.get((org, role), 0) + step
 
 
+def _keyed(docs: dict, cls: type, key_field: str) -> dict:
+    """*docs* decoded as *cls* records, each under the key its *key_field* holds."""
+    records = {key: cls.from_dict(doc) for key, doc in docs.items()}
+    if any(key != getattr(record, key_field) for key, record in records.items()):
+        raise ValueError(f"a {cls.__name__} is not under its own {key_field}")
+    return records
+
+
+def _nonce(value: Any) -> int:
+    if codec.require_int(value, "nonce") < 0:
+        raise ValueError(f"nonce must be non-negative, not {value}")
+    return value
+
+
 # The relations in the key order of to_dict(), which is the preimage's order.
 _RELATIONS = ("nonces", "orgs", "pra", "ura", "users")
 _SETS = {"pra": _LoggedSet, "ura": _UraSet}
@@ -285,11 +307,14 @@ class WorldState(codec.Record):
     nonces: dict[str, int] = field(default_factory=dict)
 
     decoders = {
-        "users": lambda users: {a: UserRecord.from_dict(u) for a, u in users.items()},
-        "orgs": lambda orgs: {o: OrgRecord.from_dict(rec) for o, rec in orgs.items()},
-        "ura": lambda rows: {(u, o, r) for u, o, r in rows},
-        "pra": lambda rows: {(o, r, Permission.from_dict(p)) for o, r, p in rows},
-        "nonces": dict,
+        "users": lambda users: _keyed(users, UserRecord, "address"),
+        "orgs": lambda orgs: _keyed(orgs, OrgRecord, "org_id"),
+        "ura": lambda rows: {tuple(_check_id(i, "a ura id") for i in (u, o, r)) for u, o, r in rows},
+        "pra": lambda rows: {
+            (_check_id(o, "a pra org"), _check_id(r, "a pra role"), Permission.from_dict(p))
+            for o, r, p in rows
+        },
+        "nonces": lambda nonces: {a: _nonce(n) for a, n in nonces.items()},
     }
 
     # What the last state_root over this state or an ancestor left: one

@@ -218,6 +218,24 @@ def test_a_boolean_nonce_is_malformed_and_later_writes_commit(cluster, txf, wall
     assert resp.status_code == 202 and resp.json()["committed_height"] == 1
 
 
+def test_a_resource_longer_than_an_id_is_malformed(cluster, wallets):
+    s0, _ = cluster
+    params = {"user": wallets["alice"].address, "org": "acme", "resource": "r" * 65, "action": "read"}
+    resp = requests.get(s0.url + "/v1/permissions/check", params=params, timeout=30)
+    assert resp.status_code == 400 and resp.json()["code"] == "Malformed"
+    assert "permission resource" in resp.json()["message"]
+
+
+def test_a_role_update_to_the_role_it_replaces_is_malformed(cluster, txf, wallets):
+    s0, _ = cluster
+    payload = {**txf.update("admin_acme", "alice", "acme", "member", "auditor").payload.to_dict(),
+               "new_role": "member"}
+    doc = _signed_doc(wallets["admin_acme"], 0, payload)
+    resp = requests.post(s0.url + "/v1/transactions", data=json.dumps(doc), timeout=30)
+    assert resp.status_code == 400 and resp.json()["code"] == "Malformed"
+    assert "old_role and new_role must differ" in resp.json()["message"]
+
+
 def test_float_org_is_malformed(cluster, txf):
     s0, _ = cluster
     doc = txf.register("bob", "acme", "member").to_dict()

@@ -490,6 +490,9 @@ def probe_files(tmp_path, genesis_file, genesis_state, wallets):
     write("genesis-no-chain-id", {k: v for k, v in genesis.items() if k != "chain_id"})
     write("genesis-list", [genesis])
     write("genesis-bad-validator", {**genesis, "validators": ["zz" * 20]})
+    write("genesis-dup-validator", {**genesis, "validators": genesis["validators"] * 2})
+    write("genesis-dup-org", {**genesis, "orgs": genesis["orgs"] * 2})
+    write("genesis", genesis)
     for name, role, field, value in (
         ("genesis-float-max-holders", "contractor", "max_holders", 2.5),
         ("genesis-str-self-assignable", "auditor", "self_assignable", "false"),
@@ -504,6 +507,11 @@ def probe_files(tmp_path, genesis_file, genesis_state, wallets):
     write("wallet-str-iterations", {**wallet, "kdf_iterations": "10"})
     save_wallet(wallets["v0"], tmp_path / "wallet.json")
     files["wallet"] = str(tmp_path / "wallet.json")
+    save_wallet(wallets["alice"], tmp_path / "alice.json")
+    write("svc-key-not-validator", {
+        "listen": "127.0.0.1:0", "data_dir": str(tmp_path / "data"),
+        "genesis": files["genesis"], "node_key": str(tmp_path / "alice.json"),
+    })
     for name in (
         "genesis-no-chain-id", "genesis-list", "genesis-float-max-holders",
         "genesis-key-not-role-id",
@@ -523,6 +531,7 @@ def probe_files(tmp_path, genesis_file, genesis_state, wallets):
             self_assignable="false")),
         ("float-max-ticks", lambda sc: sc.update(max_ticks=300.0)),
         ("float-tick", lambda sc: sc["workload"][0].update(tick=1.0)),
+        ("float-org", lambda sc: sc["workload"][0].update(org=1.5)),
         ("crash-node-9", lambda sc: sc["network"].update(
             crash_rules=[{"node": 9, "from_tick": 0}])),
         ("crash-str-node", lambda sc: sc["network"].update(
@@ -536,6 +545,8 @@ def probe_files(tmp_path, genesis_file, genesis_state, wallets):
         edit(scenario)
         write(f"scenario-{name}", scenario)
     write("config-list", ["http://127.0.0.1:1"])
+    for key, value in (("node_url", 5), ("wallet_path", 5), ("output", "xml")):
+        write(f"config-{key}-{value}", {key: value})
     Store(tmp_path / "chain.jsonl").append(genesis_block(genesis_state))
     files["chain"] = str(tmp_path / "chain.jsonl")
     return files
@@ -567,6 +578,13 @@ _PROBES = {
         "node serve --config {svc-genesis-key-not-role-id}", None, 3,
         "lists role 'owner' under key 'member'"),
     "serve-config-list": ("node serve --config {svc-list}", None, 3, "not a JSON object"),
+    "serve-key-not-validator": (
+        "node serve --config {svc-key-not-validator}", None, 3, "is not a genesis validator"),
+    "verify-genesis-dup-validator": (
+        "chain verify {chain} --genesis {genesis-dup-validator}", None, 3,
+        "duplicate validator addresses"),
+    "verify-genesis-dup-org": (
+        "chain verify {chain} --genesis {genesis-dup-org}", None, 3, "duplicate org 'acme'"),
     **{f"serve-{key}-not-str": (f"node serve --config {{svc-{key}-not-str}}", None, 3, repr(key))
        for key in ("listen", "data_dir", "node_key", "genesis")},
     "show-wallet-no-key": (
@@ -587,12 +605,20 @@ _PROBES = {
         "sim run {scenario-str-self-assignable}", None, 3, "self_assignable"),
     "sim-float-max-ticks": ("sim run {scenario-float-max-ticks}", None, 3, "max_ticks"),
     "sim-float-tick": ("sim run {scenario-float-tick}", None, 3, "tick"),
+    "sim-float-org": ("sim run {scenario-float-org}", None, 3, "org must be a string"),
     "sim-crash-node-9": ("sim run {scenario-crash-node-9}", None, 3, "names node 9"),
     "sim-crash-str-node": ("sim run {scenario-crash-str-node}", None, 3, "CrashRule node"),
     "sim-crash-str-tick": ("sim run {scenario-crash-str-tick}", None, 3, "CrashRule from_tick"),
     **{f"sim-rng-seed-{kind}": (f"sim run {{scenario-rng-seed-{kind}}}", None, 3, "rng_seed")
        for kind in _BAD_SEEDS},
     "config-list": ("--config {config-list} wallet show", None, 2, "not a JSON object"),
+    "config-node-url-int": (
+        "--config {config-node_url-5} perm check --user " + "ab" * 20
+        + " --org acme --resource ledger --action read", None, 2, "node_url must be a string"),
+    "config-wallet-path-int": (
+        "--config {config-wallet_path-5} wallet show", None, 2, "wallet_path must be a string"),
+    "config-output-xml": (
+        "--config {config-output-xml} wallet show", None, 2, "output must be human or json"),
     "seed-hex-not-hex": ("wallet create --seed-hex zz --path {wallet}.new", None, 2, "hex"),
 }
 

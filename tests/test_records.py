@@ -7,18 +7,21 @@ and that a genesis file's bytes match a serializer written out by hand.
 """
 
 import dataclasses
+import functools
 import importlib
 import json
 import pkgutil
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import rolechain
 from rolechain import codec
 from rolechain.ledger import build_block, genesis_block
 from rolechain.payloads import payload_from_dict
 from rolechain.sco import PermissionCheck
-from rolechain.state import UserRecord, apply_transaction, state_root
+from rolechain.state import UserRecord, WorldState, apply_transaction, state_root
 from rolechain.store import GenesisFile, build_genesis_state, load_genesis, save_genesis
 
 from oracles import reference_genesis_bytes
@@ -209,3 +212,87 @@ def test_genesis_bytes_match_the_reference_serializer(tmp_path, genesis_file):
         validators=genesis_file.validators[::-1],
     )
     assert codec.canonical_bytes(swapped.to_dict()) == reference_genesis_bytes(swapped) != ref
+
+
+def _scalar_paths(doc, path=()):
+    """The path (keys and indexes) to every scalar leaf of a JSON document."""
+    if isinstance(doc, dict):
+        for key, value in doc.items():
+            yield from _scalar_paths(value, path + (key,))
+    elif isinstance(doc, list):
+        for i, value in enumerate(doc):
+            yield from _scalar_paths(value, path + (i,))
+    else:
+        yield path
+
+
+def _planted(doc, path, value):
+    """A copy of *doc* whose leaf at *path* is *value*."""
+    doc = json.loads(json.dumps(doc))
+    parent = doc
+    for step in path[:-1]:
+        parent = parent[step]
+    parent[path[-1]] = value
+    return doc
+
+
+# One strategy per JSON type a leaf may be swapped for.
+_JSON_VALUES = {
+    str: st.text(max_size=70),
+    int: st.integers(min_value=-3, max_value=2**64),
+    bool: st.booleans(),
+    type(None): st.none(),
+    float: st.floats(allow_nan=False, allow_infinity=False),
+    list: st.lists(st.integers(0, 3) | st.text(max_size=3), max_size=3),
+}
+
+
+@settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(values=st.fixed_dictionaries(_JSON_VALUES))
+def test_what_decodes_with_one_leaf_of_another_type_also_encodes(samples, values):
+    """``from_dict`` is the one check of a document: one leaf of another JSON type is refused
+    with ``ValueError`` or decodes to a record that encodes (and, for a state, roots).
+
+    Every scalar leaf of every sample is swapped, one at a time, for the drawn value of
+    each other type.
+    """
+    for record in samples:
+        cls = type(record)
+        doc = json.loads(codec.canonical_dumps(record))
+        for path in _scalar_paths(doc):
+            leaf = functools.reduce(lambda node, step: node[step], path, doc)
+            for kind, value in values.items():
+                if kind is type(leaf):
+                    continue
+                try:
+                    decoded = cls.from_dict(_planted(doc, path, value))
+                except ValueError:
+                    continue
+                try:
+                    codec.canonical_bytes(decoded)
+                    if cls is WorldState:
+                        state_root(decoded)
+                except Exception as exc:
+                    pytest.fail(f"{cls.__name__} with {value!r} at {path} decoded, then {exc!r}")
+
+
+# Each edit plants one entry that no state holds; the decode refuses it.
+_BAD_STATE_ENTRIES = {
+    "nonce-str": lambda d: d["nonces"].update(a="x"),
+    "nonce-float": lambda d: d["nonces"].update(a=1.5),
+    "nonce-bool": lambda d: d["nonces"].update(a=True),
+    "nonce-negative": lambda d: d["nonces"].update(a=-1),
+    "ura-int-ids": lambda d: d["ura"].append([1, 2, 3]),
+    "pra-int-role": lambda d: d["pra"].append(["acme", 7, {"resource": "r", "action": "a"}]),
+    "user-under-another-key": lambda d: d["users"].update({"ab" * 20: [*d["users"].values()][0]}),
+    "org-under-another-key": lambda d: d["orgs"].update(initech=d["orgs"]["acme"]),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_BAD_STATE_ENTRIES))
+def test_a_state_document_with_a_bad_entry_is_refused(samples, entry):
+    state = next(r for r in samples if type(r) is WorldState)
+    doc = json.loads(codec.canonical_dumps(state))
+    _BAD_STATE_ENTRIES[entry](doc)
+    with pytest.raises(ValueError):
+        WorldState.from_dict(doc)

@@ -285,11 +285,14 @@ def test_a_root_encodes_only_the_entries_written_since_the_last(monkeypatch):
 
 
 def _float_max_holders(state: WorldState) -> WorldState:
-    d = state.to_dict()
-    d["orgs"]["acme"]["role_catalog"]["contractor"]["max_holders"] = 2.0
-    planted = WorldState.from_dict(d)
-    assert planted.orgs["acme"].role_catalog["contractor"].max_holders == 2.0
-    return planted
+    # RolePolicy refuses a float, so plant it past the constructor, in a copy.
+    acme = state.orgs["acme"]
+    policy = dataclasses.replace(acme.role_catalog["contractor"])
+    object.__setattr__(policy, "max_holders", 2.0)
+    catalog = {**acme.role_catalog, "contractor": policy}
+    state.orgs["acme"] = dataclasses.replace(acme, role_catalog=catalog)
+    assert state.orgs["acme"].role_catalog["contractor"].max_holders == 2.0
+    return state
 
 
 def _float_nonce(state: WorldState) -> WorldState:

@@ -204,11 +204,11 @@ def test_genesis_validation(genesis_file, wallets):
         build_genesis_state(GenesisFile(chain_id="", validators=genesis_file.validators))
     with pytest.raises(ValueError):
         build_genesis_state(GenesisFile(chain_id="x", validators=()))
-    reserved = OrgRecord(
-        "org", frozenset({wallets["admin_acme"].address}),
-        {"none": RolePolicy("none", self_assignable=True)},
-    )
     with pytest.raises(ValueError):
+        reserved = OrgRecord(
+            "org", frozenset({wallets["admin_acme"].address}),
+            {"none": RolePolicy("none", self_assignable=True)},
+        )
         build_genesis_state(GenesisFile(chain_id="x", validators=genesis_file.validators,
                                         orgs=(reserved,)))
 
@@ -218,10 +218,12 @@ def test_genesis_refuses_a_catalog_key_that_is_not_its_role_id(genesis_file, wal
     """A catalog key names the role the policy is for; ``none`` cannot hide under another key."""
     from rolechain.state import OrgRecord, RolePolicy
 
-    org = OrgRecord("org", frozenset({wallets["admin_acme"].address}), {key: RolePolicy(role_id)})
-    genesis = GenesisFile(chain_id="x", validators=genesis_file.validators, orgs=(org,))
-    with pytest.raises(ValueError, match=f"org 'org' lists role '{role_id}' under key '{key}'"):
-        build_genesis_state(genesis)
+    # The role policy refuses the reserved id itself, before the org sees its key.
+    message = "role id 'none' is reserved" if role_id == "none" else (
+        f"org 'org' lists role '{role_id}' under key '{key}'")
+    with pytest.raises(ValueError, match=message):
+        org = OrgRecord("org", frozenset({wallets["admin_acme"].address}), {key: RolePolicy(role_id)})
+        build_genesis_state(GenesisFile(chain_id="x", validators=genesis_file.validators, orgs=(org,)))
 
 
 @pytest.mark.parametrize("case", ["store created", "wallet saved", "torn tail truncated"])
