@@ -13,7 +13,6 @@ vocabulary in :mod:`rolechain.errors` (contract codes plus ``Malformed``,
 
 from __future__ import annotations
 
-import json
 import os
 import re
 import threading
@@ -83,12 +82,13 @@ class ServiceConfig:
     def load(cls, path: str | Path | None, env: dict | None = None) -> "ServiceConfig":
         """The config in JSON file *path* (if any), each key overridden by its set variable."""
         env = os.environ if env is None else env
-        data = json.loads(Path(path).read_text("utf-8")) if path else {}
+        data = codec.loads(Path(path).read_text("utf-8")) if path else {}
         if not isinstance(data, dict):
             raise ValueError(f"service config {path} is not a JSON object")
-        values = {k: v for k, v in data.items() if k in cls.__dataclass_fields__}
-        values.update((k, env[var]) for k, var in cls.ENV_KEYS.items() if env.get(var))
+        values = {**data, **{k: env[var] for k, var in cls.ENV_KEYS.items() if env.get(var)}}
         for key, value in values.items():
+            if key not in cls.ENV_KEYS:
+                raise ValueError(f"service config {path} has an unknown key {key!r}")
             if not isinstance(value, str):
                 raise ValueError(f"service config {key!r} must be a string, not {value!r}")
         return cls(**values)
@@ -193,10 +193,9 @@ class _Handler(BaseHTTPRequestHandler):
                 return self._error(413, "Malformed", f"body over {MAX_BODY_BYTES} bytes", close=True)
             raw = self.rfile.read(int(length))
             try:
-                doc = json.loads(raw)
-                codec.canonical_bytes(doc)  # UnicodeEncodeError on a lone surrogate
-                tx = SignedTransaction.from_dict(doc)
-            except (ValueError, TypeError, RecursionError) as exc:  # a float; too deep
+                tx = SignedTransaction.from_dict(codec.loads(raw))
+                tx.tx_id  # the submit's id; UnicodeEncodeError on a lone surrogate
+            except (ValueError, TypeError, RecursionError) as exc:  # RecursionError: too deep
                 return self._error(400, "Malformed", f"body is not a transaction: {exc}")
             try:
                 result = self.handle_ref.submit(tx)

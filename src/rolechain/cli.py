@@ -41,14 +41,16 @@ def _load_cli_config(path: str | None) -> dict:
     if not p.exists():
         return {}
     try:
-        config = json.loads(p.read_text("utf-8"))
+        config = codec.loads(p.read_text("utf-8"))
     except ValueError as exc:
         raise click.UsageError(f"config file {p} is not valid JSON: {exc}")
     if not isinstance(config, dict):
         raise click.UsageError(f"config file {p} is not a JSON object")
-    for key in ("node_url", "wallet_path"):
-        if not isinstance(config.get(key, ""), str):
-            raise click.UsageError(f"config file {p}: {key} must be a string, not {config[key]!r}")
+    for key, value in config.items():
+        if key not in ("node_url", "wallet_path", "output"):
+            raise click.UsageError(f"config file {p} has an unknown key {key!r}")
+        if not isinstance(value, str):
+            raise click.UsageError(f"config file {p}: {key} must be a string, not {value!r}")
     if config.get("output", "human") not in ("human", "json"):
         raise click.UsageError(f"config file {p}: output must be human or json, not {config['output']!r}")
     return config

@@ -8,7 +8,9 @@ Two logically equal objects therefore always produce identical bytes, on any
 machine, in any process. Every encode takes one walk, :func:`to_wire`, which
 builds the wire form of a value or a record (``digest(header)`` takes the
 record as it is) and refuses floats and non-string keys as it goes. A header
-hash, like a tx id, is then computed once per object and kept on it.
+hash, like a tx id, is then computed once per object and kept on it. Every
+input is parsed by :func:`loads`, and a record decodes only from the one
+document it encodes to (:meth:`Record.from_dict`).
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ import functools
 import hashlib
 import json
 import re
+import typing
 from typing import Any, Callable, ClassVar
 
 ZERO_DIGEST = "0" * 64
@@ -40,6 +43,26 @@ def canonical_dumps(obj: Any) -> str:
 def canonical_bytes(obj: Any) -> bytes:
     """Serialize to canonical UTF-8 bytes (the hashing/signing preimage)."""
     return canonical_dumps(obj).encode("utf-8")
+
+
+def _object(pairs: list) -> dict:
+    obj = dict(pairs)
+    if len(obj) != len(pairs):
+        keys = [k for k, _ in pairs]
+        raise ValueError(f"repeated key {next(k for i, k in enumerate(keys) if k in keys[:i])!r}")
+    return obj
+
+
+def _constant(name: str):
+    raise ValueError(f"{name} is not a JSON number")
+
+
+_DECODER = json.JSONDecoder(object_pairs_hook=_object, parse_constant=_constant)
+
+
+def loads(text: str | bytes) -> Any:
+    """The JSON value *text* (UTF-8 if bytes) holds; a repeated key, NaN or Infinity raises ValueError."""
+    return _DECODER.decode(text.decode("utf-8") if isinstance(text, bytes) else text)
 
 
 def sha256_hex(data: bytes) -> str:
@@ -109,11 +132,14 @@ def require_int(value: Any, field: str) -> int:
 class Record:
     """Mixin for a frozen dataclass whose wire form is its own fields, by name.
 
-    Each field is written through :func:`to_wire` and read back as is,
-    except that a field named in ``decoders`` is rebuilt (and checked) by it,
-    and one declared ``str``, ``int`` or ``bool`` must hold that exact type.
-    A document that is not the record (a missing field, a wrong shape) raises
-    ``ValueError``; a decoder's or ``__post_init__``'s own passes unchanged.
+    Each field is written through :func:`to_wire` and read back by the decoder
+    ``decoders`` names for it, else by its declared type: ``str``, ``int`` and
+    ``bool`` exactly, ``X | None``, a list for ``tuple[X, ...]`` or a fixed
+    tuple, a sorted list with no repeats for ``frozenset[X]`` or ``set[X]``,
+    an object for ``dict[str, X]``, and a record. A key that is not a field is
+    refused, except a payload's ``kind`` equal to its class's. A document that
+    is not the record raises ``ValueError`` naming the record or the field; a
+    decoder's or ``__post_init__``'s own passes unchanged.
     """
 
     decoders: ClassVar[dict[str, Callable[[Any], Any]]] = {}
@@ -123,15 +149,12 @@ class Record:
 
     @classmethod
     def from_dict(cls, d: dict):
-        decoders = cls.decoders
         try:
-            fields = {
-                name: decoders[name](d[name]) if name in decoders else d[name]
-                for name in _field_names(cls)
-            }
-            for name, (kind, prose) in _declared_scalars(cls).items():
-                if type(fields[name]) is not kind:
-                    raise ValueError(f"{cls.__name__} {name} must be {prose}, not {fields[name]!r}")
+            fields = {name: decode(d[name]) for name, decode in _field_decoders(cls)}
+            if len(d) != len(fields):
+                unknown, tag = sorted(d.keys() - fields.keys()), getattr(cls, "kind", None)
+                if unknown != ["kind"] or tag is None or d["kind"] != tag:
+                    raise ValueError(f"not a {cls.__name__}: unknown key {unknown[0]!r}")
             return cls(**fields)
         except (LookupError, TypeError, AttributeError) as exc:
             raise ValueError(f"not a {cls.__name__}: {exc!r}") from exc
@@ -165,11 +188,43 @@ def _field_names(cls) -> tuple[str, ...]:
     return tuple(sorted(f.name for f in dataclasses.fields(cls)))
 
 
-_DECLARED = {"str": (str, "a string"), "int": (int, "an integer"), "bool": (bool, "a boolean")}
-
-
 @functools.cache
-def _declared_scalars(cls) -> dict[str, tuple[type, str]]:
-    """The fields of *cls* with no decoder that are declared ``str``, ``int`` or ``bool``."""
-    types = {f.name: getattr(f.type, "__name__", f.type) for f in dataclasses.fields(cls)}
-    return {n: _DECLARED[t] for n, t in types.items() if t in _DECLARED and n not in cls.decoders}
+def _field_decoders(cls) -> tuple[tuple[str, Callable[[Any], Any]], ...]:
+    hints = typing.get_type_hints(cls)
+    return tuple(
+        (n, cls.decoders.get(n) or _decoder(hints[n], f"{cls.__name__} {n}")) for n in _field_names(cls)
+    )
+
+
+_JSON_TYPES = {str: "a string", int: "an integer", bool: "a boolean", list: "a list", dict: "an object"}
+
+
+def _decoder(tp, label: str) -> Callable[[Any], Any]:
+    """The decode of a value declared *tp*; one of another shape raises ValueError naming *label*."""
+    if isinstance(tp, type) and issubclass(tp, Record):
+        return tp.from_dict
+    origin, args = typing.get_origin(tp) or tp, typing.get_args(tp)
+    if type(None) in args:  # X | None, the one union a field declares
+        inner = _decoder(args[0], label)
+        return lambda v: None if v is None else inner(v)
+    wire = dict if origin is dict else list if args else origin
+    parts = [_decoder(a, label) for a in args if a is not Ellipsis]
+
+    def decode(v):
+        if type(v) is not wire:
+            raise ValueError(f"{label} must be {_JSON_TYPES[wire]}, not {v!r}")
+        if not parts:
+            return v
+        if origin is dict:
+            return {k: parts[1](x) for k, x in v.items()}
+        if args[-1] is Ellipsis:
+            return tuple(map(parts[0], v))
+        if origin is tuple:
+            if len(v) != len(parts):
+                raise ValueError(f"{label} must be a list of {len(parts)}, not {v!r}")
+            return tuple(part(x) for part, x in zip(parts, v))
+        items = [parts[0](x) for x in v]  # a set's members, in their one order
+        if any(a >= b for a, b in zip(items, items[1:])):
+            raise ValueError(f"{label} must be a sorted list with no repeats, not {v!r}")
+        return origin(items)
+    return decode

@@ -54,12 +54,6 @@ class Block(codec.Record):
     transactions: tuple[SignedTransaction, ...]
     events: tuple[Event, ...]
 
-    decoders = {
-        "header": BlockHeader.from_dict,
-        "transactions": lambda txs: tuple(map(SignedTransaction.from_dict, txs)),
-        "events": lambda events: tuple(map(Event.from_dict, events)),
-    }
-
 
 @dataclass(frozen=True)
 class Chain:

@@ -68,8 +68,6 @@ class _PermissionEdit(_Payload):
     role: str
     permission: Permission
 
-    decoders = {"permission": Permission.from_dict}
-
 
 class GrantPermissionPayload(_PermissionEdit):
     kind = KIND_GRANT_PERMISSION

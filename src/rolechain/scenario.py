@@ -26,7 +26,6 @@ Example::
 from __future__ import annotations
 
 import hashlib
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -91,7 +90,7 @@ def _actor_wallet(name: str, entry: dict) -> tuple[Wallet, str]:
 
 def load_scenario(source: str | Path | dict) -> Scenario:
     """Parse a scenario; a document that is not a scenario raises ValueError."""
-    doc = source if isinstance(source, dict) else json.loads(Path(source).read_text("utf-8"))
+    doc = source if isinstance(source, dict) else codec.loads(Path(source).read_text("utf-8"))
     try:
         return _parse_scenario(doc)
     except (LookupError, TypeError, AttributeError) as exc:

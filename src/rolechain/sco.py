@@ -72,7 +72,9 @@ class PermissionCheck(codec.Record):
     granted: bool
     via_roles: frozenset[str]
 
-    decoders = {"via_roles": lambda roles: frozenset(_check_id(r, "a via role") for r in roles)}
+    def __post_init__(self):
+        for role in self.via_roles:
+            _check_id(role, "a via role")
 
 
 def check_permission(

@@ -79,13 +79,6 @@ class Permission(codec.Record):
         _check_id(self.action, "permission action")
 
 
-def _self_assignable(value: Any) -> bool:
-    """A JSON boolean, or the integer 0 or 1 standing for one."""
-    if type(value) not in (bool, int) or value not in (0, 1):
-        raise ValueError(f"self_assignable must be a boolean, not {value!r}")
-    return bool(value)
-
-
 @dataclass(frozen=True)
 class RolePolicy(codec.Record):
     """Assignment policy for one role: who may take it and how many may hold it."""
@@ -93,8 +86,6 @@ class RolePolicy(codec.Record):
     role_id: str
     self_assignable: bool = False
     max_holders: int | None = None  # None = unlimited
-
-    decoders = {"self_assignable": _self_assignable}
 
     def __post_init__(self):
         _check_id(self.role_id, "role id")
@@ -105,6 +96,14 @@ class RolePolicy(codec.Record):
                 raise ValueError("max_holders must be positive or None")
 
 
+def _admin_set(addrs: list) -> frozenset[str]:
+    """Admin addresses, from a sorted list with no repeats."""
+    admins = [codec.require_hex(a, 20, "admin address") for a in addrs]
+    if type(addrs) is not list or admins != sorted(set(admins)):
+        raise ValueError(f"admins must be a sorted list with no repeats, not {addrs!r}")
+    return frozenset(admins)
+
+
 @dataclass(frozen=True)
 class OrgRecord(codec.Record):
     """An organization fixed at genesis: its admins and its role catalog, keyed by role id."""
@@ -113,10 +112,7 @@ class OrgRecord(codec.Record):
     admins: frozenset[str]
     role_catalog: dict[str, RolePolicy]
 
-    decoders = {
-        "admins": lambda addrs: frozenset(codec.require_hex(a, 20, "admin address") for a in addrs),
-        "role_catalog": lambda catalog: {r: RolePolicy.from_dict(p) for r, p in catalog.items()},
-    }
+    decoders = {"admins": _admin_set}
 
     def __post_init__(self):
         _check_id(self.org_id, "org id")
@@ -133,9 +129,6 @@ class UserRecord(codec.Record):
     public_key: str
     password_digest: str
     registered_at: tuple[int, int]  # (block height, tx index)
-
-    decoders = {"registered_at": lambda r: (codec.require_int(r[0], "registered_at"),
-                                            codec.require_int(r[1], "registered_at"))}
 
 
 def _event_attributes(attrs: dict) -> tuple[tuple[str, Any], ...]:
@@ -277,20 +270,6 @@ class _UraSet(_LoggedSet):
         self.holders[org, role] = self.holders.get((org, role), 0) + step
 
 
-def _keyed(docs: dict, cls: type, key_field: str) -> dict:
-    """*docs* decoded as *cls* records, each under the key its *key_field* holds."""
-    records = {key: cls.from_dict(doc) for key, doc in docs.items()}
-    if any(key != getattr(record, key_field) for key, record in records.items()):
-        raise ValueError(f"a {cls.__name__} is not under its own {key_field}")
-    return records
-
-
-def _nonce(value: Any) -> int:
-    if codec.require_int(value, "nonce") < 0:
-        raise ValueError(f"nonce must be non-negative, not {value}")
-    return value
-
-
 # The relations in the key order of to_dict(), which is the preimage's order.
 _RELATIONS = ("nonces", "orgs", "pra", "ura", "users")
 _SETS = {"pra": _LoggedSet, "ura": _UraSet}
@@ -306,21 +285,21 @@ class WorldState(codec.Record):
     pra: set[tuple[str, str, Permission]] = field(default_factory=set)
     nonces: dict[str, int] = field(default_factory=dict)
 
-    decoders = {
-        "users": lambda users: _keyed(users, UserRecord, "address"),
-        "orgs": lambda orgs: _keyed(orgs, OrgRecord, "org_id"),
-        "ura": lambda rows: {tuple(_check_id(i, "a ura id") for i in (u, o, r)) for u, o, r in rows},
-        "pra": lambda rows: {
-            (_check_id(o, "a pra org"), _check_id(r, "a pra role"), Permission.from_dict(p))
-            for o, r, p in rows
-        },
-        "nonces": lambda nonces: {a: _nonce(n) for a, n in nonces.items()},
-    }
-
     # What the last state_root over this state or an ancestor left: one
     # section (a list of chunks) per relation, and the root. Not a field, so
     # never compared; replaced, never mutated, so clones share it.
     _fragments = (((),) * len(_RELATIONS), None)
+
+    def __post_init__(self):
+        if any(key != user.address for key, user in self.users.items()):
+            raise ValueError("a UserRecord is not under its own address")
+        if any(key != org.org_id for key, org in self.orgs.items()):
+            raise ValueError("an OrgRecord is not under its own org_id")
+        for row in (*self.ura, *(row[:2] for row in self.pra)):
+            for i in row:
+                _check_id(i, "a ura or pra id")
+        if any(n < 0 for n in self.nonces.values()):
+            raise ValueError("a nonce is negative")
 
     def __setattr__(self, name, value):
         # A relation assigned whole becomes a logged container with every

@@ -14,7 +14,6 @@ genesis state root pins that.
 
 from __future__ import annotations
 
-import json
 import logging
 import os
 import zlib
@@ -39,10 +38,7 @@ class GenesisFile(codec.Record):
     validators: tuple[str, ...]
     orgs: tuple[OrgRecord, ...] = field(default=())
 
-    decoders = {
-        "validators": lambda vs: tuple(codec.require_hex(v, 20, "validator address") for v in vs),
-        "orgs": lambda orgs: tuple(map(OrgRecord.from_dict, orgs)),
-    }
+    decoders = {"validators": lambda vs: tuple(codec.require_hex(v, 20, "validator address") for v in vs)}
 
 
 def build_genesis_state(genesis: GenesisFile) -> WorldState:
@@ -66,7 +62,7 @@ def save_genesis(genesis: GenesisFile, path: str | Path) -> None:
 
 
 def load_genesis(path: str | Path) -> GenesisFile:
-    return GenesisFile.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+    return GenesisFile.from_dict(codec.loads(Path(path).read_text(encoding="utf-8")))
 
 
 # --- block store ---------------------------------------------------------------
@@ -137,7 +133,7 @@ def _read_lines(path: Path) -> tuple[list[Block], int | None]:
         try:
             if last and torn_tail:
                 raise ValueError("no trailing newline")
-            doc = json.loads(segment.decode("utf-8"))
+            doc = codec.loads(segment)
             if doc["crc32"] != f"{zlib.crc32(codec.canonical_bytes(doc['block'])):08x}":
                 raise ValueError("crc mismatch")
             whole = True

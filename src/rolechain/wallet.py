@@ -8,7 +8,6 @@ serialized wallet and never leaves this module unencrypted.
 
 from __future__ import annotations
 
-import json
 import os
 import tempfile
 from dataclasses import dataclass, replace
@@ -144,4 +143,4 @@ def save_wallet(wallet: Wallet, path: str | Path) -> None:
 
 
 def load_wallet(path: str | Path) -> Wallet:
-    return Wallet.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+    return Wallet.from_dict(codec.loads(Path(path).read_text(encoding="utf-8")))

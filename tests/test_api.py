@@ -207,6 +207,25 @@ def test_lone_surrogate_org_is_malformed_and_later_writes_commit(cluster, txf):
     assert resp.status_code == 202 and resp.json()["committed_height"] == 1
 
 
+def test_an_extra_field_a_repeated_key_or_nan_is_malformed_and_the_plain_body_commits(
+    cluster, txf
+):
+    """Only the one document a tx encodes to is that tx: each variant of the plain body is
+    refused, where keeping the known fields or the last repeated key would give its tx id."""
+    s0, _ = cluster
+    doc = txf.register("alice", "acme", "member").to_dict()
+    plain = json.dumps(doc)
+    for body in (
+        json.dumps({**doc, "memo": "extra"}),
+        '{"nonce": 5, ' + plain[1:],
+        json.dumps({**doc, "nonce": float("nan")}),
+    ):
+        resp = requests.post(s0.url + "/v1/transactions", data=body, timeout=30)
+        assert resp.status_code == 400 and resp.json()["code"] == "Malformed", body
+    resp = requests.post(s0.url + "/v1/transactions", data=plain, timeout=30)
+    assert resp.status_code == 202 and resp.json()["committed_height"] == 1
+
+
 def test_a_boolean_nonce_is_malformed_and_later_writes_commit(cluster, txf, wallets):
     s0, _ = cluster
     payload = txf.register("bob", "acme", "member").payload.to_dict()

@@ -493,6 +493,7 @@ def probe_files(tmp_path, genesis_file, genesis_state, wallets):
     write("genesis-dup-validator", {**genesis, "validators": genesis["validators"] * 2})
     write("genesis-dup-org", {**genesis, "orgs": genesis["orgs"] * 2})
     write("genesis", genesis)
+    write("genesis-repeated-chain-id", None, raw='{"chain_id": "other", ' + json.dumps(genesis)[1:])
     for name, role, field, value in (
         ("genesis-float-max-holders", "contractor", "max_holders", 2.5),
         ("genesis-str-self-assignable", "auditor", "self_assignable", "false"),
@@ -521,6 +522,7 @@ def probe_files(tmp_path, genesis_file, genesis_state, wallets):
             "genesis": files[name], "node_key": files["wallet"],
         })
     write("svc-list", [{"listen": "127.0.0.1:0"}])
+    write("svc-data-dir-dashed", {"listen": "127.0.0.1:0", "data-dir": str(tmp_path / "data")})
     for key, value in (("listen", 8545), ("data_dir", 5), ("node_key", 7), ("genesis", None)):
         write(f"svc-{key}-not-str", {key: value})
     write("scenario-no-validators", {k: v for k, v in BASE.items() if k != "validators"})
@@ -545,6 +547,7 @@ def probe_files(tmp_path, genesis_file, genesis_state, wallets):
         edit(scenario)
         write(f"scenario-{name}", scenario)
     write("config-list", ["http://127.0.0.1:1"])
+    write("config-node-url-dashed", {"node-url": "http://127.0.0.1:1"})
     for key, value in (("node_url", 5), ("wallet_path", 5), ("output", "xml")):
         write(f"config-{key}-{value}", {key: value})
     Store(tmp_path / "chain.jsonl").append(genesis_block(genesis_state))
@@ -578,6 +581,11 @@ _PROBES = {
         "node serve --config {svc-genesis-key-not-role-id}", None, 3,
         "lists role 'owner' under key 'member'"),
     "serve-config-list": ("node serve --config {svc-list}", None, 3, "not a JSON object"),
+    "serve-config-unknown-key": (
+        "node serve --config {svc-data-dir-dashed}", None, 3, "unknown key 'data-dir'"),
+    "verify-genesis-repeated-chain-id": (
+        "chain verify {chain} --genesis {genesis-repeated-chain-id}", None, 3,
+        "repeated key 'chain_id'"),
     "serve-key-not-validator": (
         "node serve --config {svc-key-not-validator}", None, 3, "is not a genesis validator"),
     "verify-genesis-dup-validator": (
@@ -612,6 +620,8 @@ _PROBES = {
     **{f"sim-rng-seed-{kind}": (f"sim run {{scenario-rng-seed-{kind}}}", None, 3, "rng_seed")
        for kind in _BAD_SEEDS},
     "config-list": ("--config {config-list} wallet show", None, 2, "not a JSON object"),
+    "config-unknown-key": (
+        "--config {config-node-url-dashed} wallet show", None, 2, "unknown key 'node-url'"),
     "config-node-url-int": (
         "--config {config-node_url-5} perm check --user " + "ab" * 20
         + " --org acme --resource ledger --action read", None, 2, "node_url must be a string"),

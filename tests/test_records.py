@@ -1,8 +1,9 @@
 """The decode side of the one record codec, ``codec.Record``.
 
-Every wire record takes ``to_dict``/``from_dict`` from the mixin; the fields
-that need rebuilding or checking name a decoder. These tests pin that each
-record survives the wire, that the decode checks still refuse bad input,
+Every wire record takes ``to_dict``/``from_dict`` from the mixin, which
+decodes each field by its declared type unless the field names a decoder.
+These tests pin that each record survives the wire, that the decode checks
+still refuse bad input, that a document decodes only to the record it is,
 and that a genesis file's bytes match a serializer written out by hand.
 """
 
@@ -22,7 +23,7 @@ from rolechain.ledger import build_block, genesis_block
 from rolechain.payloads import payload_from_dict
 from rolechain.sco import PermissionCheck
 from rolechain.state import UserRecord, WorldState, apply_transaction, state_root
-from rolechain.store import GenesisFile, build_genesis_state, load_genesis, save_genesis
+from rolechain.store import GenesisFile, load_genesis, save_genesis
 
 from oracles import reference_genesis_bytes
 
@@ -179,18 +180,12 @@ def test_genesis_with_a_non_hex_address_is_refused(tmp_path, genesis_file, where
         load_genesis(path)
 
 
-def test_self_assignable_is_coerced_to_bool(genesis_file):
-    doc = genesis_file.to_dict()
-    for org in doc["orgs"]:
-        for policy in org["role_catalog"].values():
-            policy["self_assignable"] = int(policy["self_assignable"])
-    assert '"self_assignable":1' in json.dumps(doc, separators=(",", ":"))
-    loaded = GenesisFile.from_dict(doc)
-    member = loaded.orgs[0].role_catalog["member"]
-    auditor = loaded.orgs[0].role_catalog["auditor"]
-    assert member.self_assignable is True and auditor.self_assignable is False
-    assert loaded == genesis_file
-    assert state_root(build_genesis_state(loaded)) == state_root(build_genesis_state(genesis_file))
+def test_self_assignable_is_a_json_boolean_only(genesis_file):
+    for value in (0, 1):
+        doc = genesis_file.to_dict()
+        doc["orgs"][0]["role_catalog"]["member"]["self_assignable"] = value
+        with pytest.raises(ValueError, match="self_assignable must be a boolean"):
+            GenesisFile.from_dict(doc)
 
 
 def test_permission_check_lists_its_roles_sorted():
@@ -214,16 +209,17 @@ def test_genesis_bytes_match_the_reference_serializer(tmp_path, genesis_file):
     assert codec.canonical_bytes(swapped.to_dict()) == reference_genesis_bytes(swapped) != ref
 
 
-def _scalar_paths(doc, path=()):
+def _nodes(doc, path=()):
+    """Every node of a JSON document, with its path (keys and indexes), the root first."""
+    yield path, doc
+    children = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for step, child in children:
+        yield from _nodes(child, path + (step,))
+
+
+def _scalar_paths(doc):
     """The path (keys and indexes) to every scalar leaf of a JSON document."""
-    if isinstance(doc, dict):
-        for key, value in doc.items():
-            yield from _scalar_paths(value, path + (key,))
-    elif isinstance(doc, list):
-        for i, value in enumerate(doc):
-            yield from _scalar_paths(value, path + (i,))
-    else:
-        yield path
+    return [path for path, node in _nodes(doc) if not isinstance(node, (dict, list))]
 
 
 def _planted(doc, path, value):
@@ -274,6 +270,63 @@ def test_what_decodes_with_one_leaf_of_another_type_also_encodes(samples, values
                         state_root(decoded)
                 except Exception as exc:
                     pytest.fail(f"{cls.__name__} with {value!r} at {path} decoded, then {exc!r}")
+
+
+_ANY_JSON = (
+    st.none() | st.booleans() | st.integers(-3, 3) | st.integers(2**63, 2**64) | st.floats()
+    | st.text(max_size=8) | st.lists(st.integers(0, 3) | st.text(max_size=3), max_size=3)
+    | st.dictionaries(st.text(max_size=3), st.integers(0, 3), max_size=2)
+)
+_MARK = "\0repeated"  # stands in for the object whose key repeats, until its text is spliced in
+
+
+def _edited(doc, draw) -> tuple[str, object]:
+    """The JSON text of *doc* after one drawn edit, and the document it stands for.
+
+    The document is None when the text repeats a key, since no document holds that.
+    """
+    nodes = list(_nodes(doc))
+    lists = [n for _, n in nodes if isinstance(n, list) and n]
+    edit = draw(st.sampled_from(["add-key", "repeat-key", "leaf-type"] + ["list-member"] * bool(lists)))
+    if edit in ("add-key", "repeat-key"):
+        path, obj = draw(st.sampled_from([(p, n) for p, n in nodes if isinstance(n, dict) and n]))
+        if edit == "add-key":
+            obj[draw(st.text(max_size=8).filter(lambda k: k not in obj))] = draw(_ANY_JSON)
+            return json.dumps(doc), doc
+        key = draw(st.sampled_from(sorted(obj)))
+        entries = [*obj.items(), (key, draw(st.just(obj[key]) | _ANY_JSON))]
+        text = ",".join(f"{json.dumps(k)}:{json.dumps(v)}" for k, v in entries)
+        marked = _planted(doc, path, _MARK) if path else _MARK
+        return json.dumps(marked).replace(json.dumps(_MARK), "{" + text + "}"), None
+    if edit == "list-member":  # a set's member moved or repeated; a tuple's reordered or grown
+        seq = draw(st.sampled_from(lists))
+        i, j = draw(st.integers(0, len(seq) - 1)), draw(st.integers(0, len(seq) - 1))
+        if i != j:
+            seq[i], seq[j] = seq[j], seq[i]
+        else:
+            seq.insert(i, seq[i])
+        return json.dumps(doc), doc
+    path, leaf = draw(st.sampled_from([(p, n) for p, n in nodes if not isinstance(n, (dict, list))]))
+    doc = _planted(doc, path, draw(_ANY_JSON.filter(lambda v: type(v) is not type(leaf))))
+    return json.dumps(doc), doc
+
+
+@settings(max_examples=400, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
+@given(data=st.data())
+def test_a_document_decodes_only_to_the_record_it_is(samples, data):
+    """One decode: a sample's JSON text after one edit (a key added or repeated, a list
+    member moved or repeated, a leaf of another JSON type) is refused with ``ValueError``,
+    or decodes to a record whose canonical bytes are those of the edited document.
+    """
+    record = data.draw(st.sampled_from(samples))
+    text, doc = _edited(json.loads(codec.canonical_dumps(record)), data.draw)
+    try:
+        decoded = type(record).from_dict(codec.loads(text))
+    except ValueError:
+        return
+    assert doc is not None, f"{type(record).__name__} decoded a repeated key: {text}"
+    assert codec.canonical_bytes(decoded) == codec.canonical_bytes(doc), text
 
 
 # Each edit plants one entry that no state holds; the decode refuses it.
