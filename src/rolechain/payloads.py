@@ -117,6 +117,13 @@ class SignedTransaction(codec.Record):
             {"nonce": self.nonce, "payload": self.payload, "sender": self.sender}
         )
 
+    def wire_bytes(self) -> bytes:
+        """The canonical bytes of this tx; their digest, its id, is kept if it was not yet."""
+        raw = codec.canonical_bytes(self)
+        if "_tx_id" not in self.__dict__:
+            self.__dict__["_tx_id"] = codec.sha256_hex(raw)
+        return raw
+
     @property
     def tx_id(self) -> str:
         # Hashed once per object. The cache sits in the instance dict, not in a

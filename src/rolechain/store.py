@@ -1,10 +1,11 @@
 """Durable chain storage and the genesis file.
 
 The block store is one JSONL file per chain, blocks in height order, each
-line carrying a CRC32 of the canonical block bytes. A torn final line (the
-classic crash artifact) is detected and logged: a reader leaves it out, and
-the writer truncates it away. A damaged interior line means real corruption
-and is reported as such, never skipped.
+line carrying a CRC32 of the canonical block bytes it holds, checked on the
+bytes as read from disk. A torn final line (the classic crash artifact) is
+detected and logged: a reader leaves it out, and the writer truncates it
+away. A damaged interior line means real corruption and is reported as such,
+never skipped.
 
 The genesis file fixes everything a network must agree on before it starts:
 chain id, the validator set, and each organization with its admins and role
@@ -16,6 +17,7 @@ from __future__ import annotations
 
 import logging
 import os
+import re
 import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -110,16 +112,22 @@ class Store:
         self.height = block.header.height
 
 
+_LINE = re.compile(rb'\{"block":(.*),"crc32":"([0-9a-f]{8})"\}')  # as Store.append writes it
+
+
 def _read_lines(path: Path) -> tuple[list[Block], int | None]:
     """The blocks of *path*'s sound lines, and the byte length to cut a torn final line to.
 
-    A line must frame one block, match its CRC and hold height i at line i;
-    whether the blocks link and replay is the audit's job (``ledger.replay``).
-    An append is durable only once its full line, newline included, hit the
-    disk. A final segment without its newline, or one that fails to parse or
-    to match its CRC, is a torn write: it is left out with a warning (the
-    length is None when nothing is torn). Damage earlier, or a line that
-    matches its CRC but holds no block, raises CorruptStore with its height.
+    A line must be framed exactly as :meth:`Store.append` writes it, match the
+    CRC of the block bytes it holds, decode to one block from those bytes and
+    hold height i at line i; whether the blocks link and replay is the audit's
+    job (``ledger.replay``). Block bytes that are not canonical but decode and
+    match their CRC are read as the block they decode to. An append is durable
+    only once its full line, newline included, hit the disk. A final segment
+    without its newline, or one that is framed otherwise or fails its CRC, is
+    a torn write: it is left out with a warning (the length is None when
+    nothing is torn). Damage earlier, or a line that matches its CRC but holds
+    no block, raises CorruptStore with its height.
     """
     segments = path.read_bytes().split(b"\n")
     torn_tail = segments[-1] != b""  # a clean file always ends with a newline
@@ -133,11 +141,14 @@ def _read_lines(path: Path) -> tuple[list[Block], int | None]:
         try:
             if last and torn_tail:
                 raise ValueError("no trailing newline")
-            doc = codec.loads(segment)
-            if doc["crc32"] != f"{zlib.crc32(codec.canonical_bytes(doc['block'])):08x}":
+            framed = _LINE.fullmatch(segment)
+            if framed is None:
+                raise ValueError("not framed as a block line")
+            body, crc = framed.groups()
+            if crc != b"%08x" % zlib.crc32(body):
                 raise ValueError("crc mismatch")
             whole = True
-            block = Block.from_dict(doc["block"])
+            block = Block.from_dict(codec.loads(body))
         except (ValueError, KeyError, TypeError, RecursionError) as exc:
             if last and not whole:
                 logger.warning("leaving out torn final line %d of %s (%s)", i, path, exc)

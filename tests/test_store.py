@@ -138,6 +138,48 @@ def test_a_whole_final_line_that_holds_no_block_is_refused_not_truncated(tmp_pat
     assert store.path.read_bytes() == before
 
 
+def test_block_bytes_that_are_not_canonical_load_as_the_block_they_decode_to(tmp_path, chain10,
+                                                                             genesis_state):
+    """The CRC covers the bytes on disk, and the audit checks the block they decode to."""
+    from rolechain.ledger import replay
+    from rolechain.state import state_root
+
+    store = _write(tmp_path, chain10)
+    lines = store.path.read_bytes().split(b"\n")
+    body = json.dumps(chain10.blocks[4].to_dict(), separators=(", ", ": ")).encode()
+    assert body != codec.canonical_bytes(chain10.blocks[4])
+    lines[4] = b'{"block":%s,"crc32":"%08x"}' % (body, zlib.crc32(body))
+    store.path.write_bytes(b"\n".join(lines))
+    loaded = load_chain(open_store(store.path))
+    assert codec.canonical_bytes(loaded.blocks[4]) == codec.canonical_bytes(chain10.blocks[4])
+    assert state_root(replay(genesis_state, loaded)) == chain10.tip.header.state_root
+
+
+OTHER_FRAMES = {
+    "space after block": lambda body, crc: b'{"block": %s,"crc32":"%08x"}' % (body, crc),
+    "crc first": lambda body, crc: b'{"crc32":"%08x","block":%s}' % (crc, body),
+}
+
+
+@pytest.mark.parametrize("final", [False, True])
+@pytest.mark.parametrize("frame", OTHER_FRAMES.values(), ids=OTHER_FRAMES.keys())
+def test_a_line_framed_otherwise_than_append_writes_is_no_block_line(tmp_path, chain10, final, frame):
+    """Valid JSON under a matching CRC, but not the one framing: corruption inside, a torn write last."""
+    store = _write(tmp_path, chain10)
+    lines = store.path.read_bytes().split(b"\n")
+    at = len(lines) - 2 if final else 5
+    body = codec.canonical_bytes(chain10.blocks[at])
+    lines[at] = frame(body, zlib.crc32(body))
+    assert json.loads(lines[at])["block"] == chain10.blocks[at].to_dict()
+    store.path.write_bytes(b"\n".join(lines))
+    if final:
+        assert len(load_chain(open_store(store.path))) == len(chain10) - 1
+    else:
+        with pytest.raises(CorruptStore) as exc:
+            load_chain(open_store(store.path))
+        assert exc.value.height == at
+
+
 @pytest.mark.parametrize("final", [False, True])
 def test_a_line_nested_too_deep_is_json_that_does_not_parse(tmp_path, chain10, final):
     """An interior one is corruption at its height; a final one is a torn write."""

@@ -33,8 +33,8 @@ TX_ID_DIGESTS_PER_TX = 1
 # once, so one per block plus the one genesis header the replicas share (21 on
 # either run).
 HEADER_HASHES_PER_TX = 1.05
-# Calls to codec.digest made by ledger.tx_root: the proposer's seal, which
-# keeps the root on the one block every replica's check_link reads.
+# Digests taken by ledger.tx_root (a codec.sha256_hex call): the proposer's
+# seal, which keeps the root on the one block every replica's check_link reads.
 TX_ROOTS_PER_TX = 1
 EXECUTES_PER_TX = 1  # calls to state.execute_transaction
 # WorldState.clone calls per committed write: the proposer's selection fold.
@@ -64,8 +64,11 @@ def _counter(monkeypatch):
 
 
 def _count_encodes(monkeypatch, counts):
-    """Count canonical encodes, and the digests that ``tx_id`` and ``hash_header`` take."""
-    encode, digest = codec.canonical_dumps, codec.digest
+    """Count canonical encodes, and the digests that ``tx_id``, ``hash_header`` and ``tx_root`` take.
+
+    ``tx_root`` hashes the bytes it joins, so its digest is a ``codec.sha256_hex`` call.
+    """
+    encode, digest, sha256_hex = codec.canonical_dumps, codec.digest, codec.sha256_hex
     callers = {
         payloads.SignedTransaction.tx_id.fget.__code__: "tx_id digest",
         ledger.hash_header.__code__: "header hash",
@@ -76,11 +79,13 @@ def _count_encodes(monkeypatch, counts):
         counts["encode"] += 1
         return encode(obj)
 
-    def counted_digest(obj):
-        caller = callers.get(sys._getframe(1).f_code)
-        if caller is not None:
-            counts[caller] += 1
-        return digest(obj)
+    def counting(fn):
+        def counted_digest(obj):
+            caller = callers.get(sys._getframe(1).f_code)
+            if caller is not None:
+                counts[caller] += 1
+            return fn(obj)
+        return counted_digest
 
     def counted_block_dict(block):
         counts["Block.to_dict"] += 1
@@ -88,7 +93,8 @@ def _count_encodes(monkeypatch, counts):
 
     block_dict = ledger.Block.to_dict
     monkeypatch.setattr(codec, "canonical_dumps", counted_encode)
-    monkeypatch.setattr(codec, "digest", counted_digest)
+    monkeypatch.setattr(codec, "digest", counting(digest))
+    monkeypatch.setattr(codec, "sha256_hex", counting(sha256_hex))
     monkeypatch.setattr(ledger.Block, "to_dict", counted_block_dict)
 
 
