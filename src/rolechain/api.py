@@ -128,8 +128,8 @@ class NodeHandle:
             submitted_at = self.node.next_height
             run_until_quiescent(self.network, PUMP_TICKS)  # may end accepted, uncommitted
             # Only a commit by this pump counts: a resubmitted tx already on chain gets None.
-            height = self.network.tx_heights.get(tx_id, -1)
-            committed_height = height if submitted_at <= height < self.node.next_height else None
+            blocks = self.node.chain.blocks[submitted_at:]
+            committed_height = next((b.header.height for b in blocks if tx in b.transactions), None)
             self._persist()
             return {
                 "accepted": True,
@@ -194,7 +194,6 @@ class _Handler(BaseHTTPRequestHandler):
             raw = self.rfile.read(int(length))
             try:
                 tx = SignedTransaction.from_dict(codec.loads(raw))
-                tx.tx_id  # the submit's id; UnicodeEncodeError on a lone surrogate
             except (ValueError, TypeError, RecursionError) as exc:  # RecursionError: too deep
                 return self._error(400, "Malformed", f"body is not a transaction: {exc}")
             try:

@@ -27,6 +27,7 @@ ZERO_DIGEST = "0" * 64
 ZERO_ADDRESS = "0" * 40
 
 _HEX_RE = re.compile("[0-9a-f]*")
+_SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")  # UTF-8 text holds no surrogate
 
 
 def canonical_dumps(obj: Any) -> str:
@@ -61,8 +62,13 @@ _DECODER = json.JSONDecoder(object_pairs_hook=_object, parse_constant=_constant)
 
 
 def loads(text: str | bytes) -> Any:
-    """The JSON value *text* (UTF-8 if bytes) holds; a repeated key, NaN or Infinity raises ValueError."""
-    return _DECODER.decode(text.decode("utf-8") if isinstance(text, bytes) else text)
+    """The JSON value *text* (UTF-8 if bytes) holds; a repeated key, NaN, Infinity or an
+    escaped unpaired surrogate, which no canonical bytes hold, raises ValueError."""
+    text = text.decode("utf-8") if isinstance(text, bytes) else text
+    value = _DECODER.decode(text)
+    if _SURROGATE_ESCAPE.search(text):
+        json.dumps(value, ensure_ascii=False).encode("utf-8")  # UnicodeEncodeError on a lone one
+    return value
 
 
 def sha256_hex(data: bytes) -> str:

@@ -18,7 +18,9 @@ of scope, per the trusted-validator setting):
   other block gathers votes there and none can be finalized at the height.
 * Transactions enter through any node and gossip to every reachable peer;
   voters also adopt the transactions of valid proposals, so any block that
-  gathered votes can be re-proposed by whoever becomes proposer next.
+  gathered votes can be re-proposed by whoever becomes proposer next. A
+  replica keeps a tx only while its nonce is unspent in its own committed
+  state, which refuses the txs on its chain with no index of them.
 * Lagging replicas catch up by requesting missing blocks and validating
   them by full replay. When a fault window closes (partition heals, node
   revives) every node announces its tip once, modeling the handshake of a
@@ -215,20 +217,16 @@ class ValidatorNode:
     state: WorldState
     mempool: dict[str, tuple[SignedTransaction, int]] = field(default_factory=dict)
     round: Round = field(default_factory=Round)
-    tx_heights: dict = field(default_factory=dict)      # tx id -> committed height
     sync_inflight_until: int = -1
 
     @property
     def next_height(self) -> int:
         return len(self.chain.blocks)
 
-    def on_chain(self, tx_id: str) -> bool:
-        return self.tx_heights.get(tx_id, self.next_height) < self.next_height
-
     def admit(self, tx: SignedTransaction, tick: int) -> None:
-        """Queue *tx* unless it is queued or on chain already."""
+        """Queue *tx* unless it is queued or its nonce is spent on this replica's chain."""
         tx_id = tx.tx_id
-        if tx_id not in self.mempool and not self.on_chain(tx_id):
+        if tx_id not in self.mempool and tx.nonce >= expected_nonce(self.state, tx.sender):
             self.mempool[tx_id] = tx, tick
 
 
@@ -249,17 +247,12 @@ class Network:
         self.rng = random.Random(config.rng_seed)
         # Message fingerprints, kept only as their count and (if traced) running digest.
         self.trace = codec.DigestLog(keep_digest=trace_digest)
-        # Committed height of every tx id. Finality is unique, so every
-        # replica shares this one index: a tx is on a replica's chain iff its
-        # height is below the replica's next height.
-        self.tx_heights: dict[str, int] = {}
         # Validator id -> its index, the name the fault rules use.
         self._index = {v: i for i, v in enumerate(config.validators)}
         # Chains are immutable (finalizing builds a new one), so the replicas share one genesis.
         genesis = new_chain(genesis_state)
         self.nodes: dict[str, ValidatorNode] = {
-            v: ValidatorNode(id=v, chain=genesis, state=genesis_state, tx_heights=self.tx_heights)
-            for v in config.validators
+            v: ValidatorNode(id=v, chain=genesis, state=genesis_state) for v in config.validators
         }
         # Ticks at which connectivity changes back: every node announces its
         # tip then, standing in for a transport-level reconnect handshake.
@@ -368,21 +361,14 @@ def restart(network: Network, genesis_state: WorldState, chain: Chain) -> None:
     state = replay(genesis_state, chain)
     for node in network.nodes.values():
         node.chain, node.state = chain, state
-    for block in chain.blocks:
-        _index_txs(network, block)
-
-
-def _index_txs(network: Network, block: Block) -> None:
-    for tx in block.transactions:
-        network.tx_heights.setdefault(tx.tx_id, block.header.height)
 
 
 def _finalize(network: Network, node: ValidatorNode, block: Block, post: WorldState) -> None:
     # Take the chain and state objects of a peer that finalized this block
     # already (finality is unique, and equal roots mean equal states): only
-    # the first replica at a height appends and indexes it. Every replica
-    # drops the block's post-state (a late replica may have set it again by
-    # executing the block), so a chain block holds one only while a round does.
+    # the first replica at a height appends it. Every replica drops the
+    # block's post-state (a late replica may have set it again by executing
+    # the block), so a chain block holds one only while a round does.
     block.__dict__.pop("_post", None)
     height = block.header.height
     for peer in network.nodes.values():
@@ -394,7 +380,6 @@ def _finalize(network: Network, node: ValidatorNode, block: Block, post: WorldSt
         # _validate_proposal against the current tip, since finalizing
         # replaces the round, and a synced block is validated just before.
         chain = Chain(blocks=(*node.chain.blocks, block))
-        _index_txs(network, block)
     node.chain = chain
     node.state = post
     node.round = Round(entered=network.tick)
@@ -577,9 +562,6 @@ def _select_txs(node: ValidatorNode, limit: int = MAX_BLOCK_TXS) -> tuple[list, 
     for tx_id, (tx, _) in node.mempool.items():
         if len(selected) >= limit:
             break
-        if node.on_chain(tx_id):
-            dead.append(tx_id)
-            continue
         expected = expected_nonce(work, tx.sender)
         if tx.nonce > expected:
             continue  # may become valid after earlier nonces land

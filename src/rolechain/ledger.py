@@ -6,9 +6,9 @@ state after applying it (``state_root``), and to the previous header
 a verifier recomputes. Timestamps are logical ticks handed in by consensus;
 nothing here reads a clock or remembers a block it built or executed, so
 every audit re-executes. A block may carry the post-state consensus keeps
-on it as ``_post``; nothing here reads it. A replay marks a block whose
-signatures it checked in bulk as ``_signed``, which only its own fold reads.
-Empty blocks are legal.
+on it as ``_post``; nothing here reads it. A block keeps nothing else but the
+memo of its own ``tx_root``: a replay hands each fold its bulk signature
+verdict as an argument. Empty blocks are legal.
 
 One caveat is inherent to hash chains: the tip header's own non-root fields
 (proposer, timestamp) are only pinned by the *next* block. ``verify_chain``,
@@ -164,14 +164,16 @@ def check_link(parent: BlockHeader, block: Block) -> None:
         raise RootMismatch(f"tx root mismatch at height {h}")
 
 
-def execute_block(state: WorldState, block: Block) -> WorldState:
+def execute_block(state: WorldState, block: Block, signed: bool = False) -> WorldState:
     """Replay *block*, which passed :func:`check_link`, on its parent's post-state *state*.
 
     Raises RootMismatch / InvalidTransaction when its events or state root
-    do not withstand recomputation; returns the post-state on success.
+    do not withstand recomputation; returns the post-state on success. Only
+    :func:`replay` passes *signed*: True when its bulk check passed every
+    envelope in *block*, so the fold skips the envelope check alone.
     """
     h = block.header.height
-    post, events = _apply_all(state, block.transactions, h, block.__dict__.get("_signed", False))
+    post, events = _apply_all(state, block.transactions, h, signed)
     if tuple(events) != tuple(block.events):
         raise RootMismatch(f"event log does not match transaction replay at height {h}")
     if state_root(post) != block.header.state_root:
@@ -193,41 +195,29 @@ def replay(genesis_state: WorldState, chain: Chain) -> WorldState:
     height and its reason. A broken hash link between consecutive headers is
     attributed to the earlier height, since either side of the link may be
     the corrupted one. The signatures of all blocks are checked first, in
-    parallel where that pays (:func:`_mark_signed`); a block with a failing
-    one folds with every check, so it fails as it would without that step.
+    parallel where that pays (``wallet.verify_envelopes``); a block with a
+    failing one folds with every check, so it fails as it would without that
+    step.
     """
+    from .wallet import verify_envelopes  # wallet imports store, which imports this module
+
     blocks = chain.blocks
     if not blocks or blocks[0].transactions or blocks[0].events or (
         blocks[0].header != genesis_block(genesis_state).header
     ):
         raise ReplayDivergence(0, "genesis block does not match the genesis state")
-    _mark_signed(blocks[1:])
-    state = genesis_state
+    marks = verify_envelopes([tx for block in blocks[1:] for tx in block.transactions])
+    state, end = genesis_state, 0
     for h in range(1, len(blocks)):
+        start, end = end, end + len(blocks[h].transactions)
         try:
             check_link(blocks[h - 1].header, blocks[h])
-            state = execute_block(state, blocks[h])
+            state = execute_block(state, blocks[h], all(marks[start:end]))
         except LinkMismatch:
             raise ReplayDivergence(h - 1, f"hash link broken between heights {h - 1} and {h}")
         except ChainError as exc:
             raise ReplayDivergence(h, str(exc))
     return state
-
-
-def _mark_signed(blocks) -> None:
-    """Set each block's ``_signed`` mark: True iff every envelope it holds checks.
-
-    The fold of a marked block skips only the envelope check (``execute_block``);
-    a ``dataclasses.replace`` copy makes a new object without the mark.
-    """
-    from .wallet import verify_envelopes  # wallet imports store, which imports this module
-
-    marks = verify_envelopes([tx for block in blocks for tx in block.transactions])
-    start = 0
-    for block in blocks:
-        end = start + len(block.transactions)
-        block.__dict__["_signed"] = all(marks[start:end])
-        start = end
 
 
 def verify_chain(

@@ -5,7 +5,8 @@ validator set and organizations drawn from those actors, a fault schedule,
 and a workload of contract calls stamped with submission ticks. The runner
 derives every wallet, builds the genesis, signs and injects the workload,
 and runs the network to quiescence — deterministically, so two runs of the
-same file produce the same report.
+same file produce the same report. A key that the scenario, its network, an
+actor, an org or a workload item's op does not define is refused.
 
 Example::
 
@@ -54,6 +55,13 @@ from .wallet import Wallet, create_wallet, sign_transaction
 
 DEFAULT_PASSPHRASE = "scenario-passphrase"
 _KDF_ITERATIONS = 100  # simulation wallets are throwaway; favor speed
+# The keys of each workload op beside tick, op, actor and via.
+_OP_KEYS = {
+    "register_user": ("org", "role"),
+    "update_user_role": ("user", "org", "old_role", "new_role"),
+    "grant_permission": ("org", "role", "resource", "action"),
+    "revoke_permission": ("org", "role", "resource", "action"),
+}
 
 
 @dataclass(frozen=True)
@@ -78,7 +86,16 @@ class Scenario:
     max_ticks: int = 300
 
 
+def _known(doc: dict, keys, where: str) -> dict:
+    """*doc*, unless it holds a key not in *keys*: a misspelled key raises ValueError."""
+    unknown = sorted(doc.keys() - set(keys))
+    if unknown:
+        raise ValueError(f"{where} has an unknown key {unknown[0]!r}")
+    return doc
+
+
 def _actor_wallet(name: str, entry: dict) -> tuple[Wallet, str]:
+    _known(entry, ("seed", "passphrase"), f"scenario actor {name!r}")
     seed_hex = entry.get("seed")
     seed = bytes.fromhex(seed_hex) if seed_hex else hashlib.sha256(
         b"rolechain-scenario-actor:" + name.encode("utf-8")
@@ -98,7 +115,8 @@ def load_scenario(source: str | Path | dict) -> Scenario:
 
 
 def _parse_scenario(doc: dict) -> Scenario:
-    name = doc.get("name", "scenario")
+    keys = ("name", "actors", "validators", "orgs", "network", "workload", "max_ticks")
+    name = _known(doc, keys, "scenario").get("name", "scenario")
     actors: dict[str, Wallet] = {}
     passphrases: dict[str, str] = {}
     for actor_name, entry in doc["actors"].items():
@@ -110,6 +128,8 @@ def _parse_scenario(doc: dict) -> Scenario:
         return actors[actor_name]
 
     validators = [actor(v).address for v in doc["validators"]]
+    for o in doc["orgs"]:
+        _known(o, ("org_id", "admins", "role_catalog"), "scenario org")
     orgs = tuple(
         OrgRecord(
             org_id=o["org_id"],
@@ -126,7 +146,8 @@ def _parse_scenario(doc: dict) -> Scenario:
     genesis = GenesisFile(chain_id=name, validators=tuple(validators), orgs=orgs)
     build_genesis_state(genesis)  # the genesis checks, at load
 
-    net = doc.get("network", {})
+    rules = ("rng_seed", "crash_rules", "partition_rules", "drop_rules")
+    net = _known(doc.get("network", {}), rules, "scenario network")
     config = NetworkConfig(
         validators=validators,
         rng_seed=net.get("rng_seed", 0),
@@ -152,6 +173,9 @@ def _parse_scenario(doc: dict) -> Scenario:
 def _work_item(item: dict, actor, validators: list[str]) -> WorkItem:
     """*item* checked and prepared; *actor* maps an actor name to its wallet or raises."""
     op = item["op"]
+    if op not in _OP_KEYS:
+        raise ValueError(f"unknown workload op {op!r}")
+    _known(item, ("tick", "op", "actor", "via", *_OP_KEYS[op]), f"workload {op} item")
     wallet = actor(item["actor"])
     # Each payload is decoded as a posted one is, so its fields get the same checks.
     if op == "register_user":
@@ -169,14 +193,12 @@ def _work_item(item: dict, actor, validators: list[str]) -> WorkItem:
             "old_role": item["old_role"],
             "new_role": item["new_role"],
         })
-    elif op in ("grant_permission", "revoke_permission"):
+    else:
         edit = GrantPermissionPayload if op == "grant_permission" else RevokePermissionPayload
         payload = edit.from_dict({
             "org": item["org"], "role": item["role"],
             "permission": {"resource": item["resource"], "action": item["action"]},
         })
-    else:
-        raise ValueError(f"unknown workload op {op!r}")
     via = item.get("via")
     if via is not None:
         if type(via) is not int or not 0 <= via < len(validators):

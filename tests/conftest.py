@@ -146,6 +146,11 @@ def make_chain(genesis_state: WorldState, txs, proposer: str, per_block: int = 3
     return chain
 
 
+def committed_heights(chain: Chain) -> dict[str, int]:
+    """The height of each tx id on *chain*."""
+    return {tx.tx_id: block.header.height for block in chain.blocks for tx in block.transactions}
+
+
 def watch_commit_votes(monkeypatch) -> dict:
     """Wrap ``Network.broadcast`` to record every COMMIT, by (sender, height, view).
 

@@ -22,7 +22,7 @@ from rolechain.ledger import Chain, build_block, genesis_block, verify_chain
 from rolechain.store import Store, chain_path, save_genesis
 from rolechain.wallet import decrypt_signing_key, save_wallet
 
-from conftest import PASSPHRASE
+from conftest import PASSPHRASE, TxFactory, committed_heights
 
 
 
@@ -449,7 +449,36 @@ def test_committed_height_counts_only_this_pump_on_this_replica(genesis_file, ge
     lagging = NodeHandle(crashed, vals[0], chain_id="testnet")
     result = lagging.submit(tx)
     assert result["accepted"] and result["committed_height"] is None
-    assert crashed.tx_heights == {tx.tx_id: 1} and result["node_height"] == 0
+    assert committed_heights(crashed.nodes[vals[1]].chain) == {tx.tx_id: 1}
+    assert result["node_height"] == 0
+
+
+def test_a_spent_nonce_submission_costs_the_network_nothing(genesis_file, genesis_state, wallets):
+    """A second grant with a committed grant's nonce: no replica queues it, no view changes."""
+    vals = list(genesis_file.validators)
+
+    def run(stale: bool):
+        txf = TxFactory(wallets)
+        network = Network(NetworkConfig(validators=vals, rng_seed=77), genesis_state)
+        handle = NodeHandle(network, vals[0], chain_id="testnet")
+        assert handle.submit(txf.grant("admin_acme", "acme", "member", "a", "read", nonce=0))[
+            "committed_height"] == 1
+        ticks = 0
+        if stale:
+            before = network.tick
+            result = handle.submit(txf.grant("admin_acme", "acme", "member", "b", "read", nonce=0))
+            assert result["accepted"] and result["committed_height"] is None
+            assert result["node_height"] == 1
+            ticks = network.tick - before
+            assert ticks <= 2
+            assert all(n.round.view == 0 and n.mempool == {} for n in network.nodes.values())
+        nxt = handle.submit(txf.grant("admin_acme", "acme", "member", "c", "read", nonce=1))
+        assert nxt["committed_height"] == 2
+        header = handle.node.chain.tip.header
+        return vals.index(header.proposer), header.timestamp - ticks
+
+    # The next write's block: validator 2's, at the same tick of its own pump.
+    assert run(stale=True) == run(stale=False) == (2, 9)
 
 
 def test_service_config_env_overrides(tmp_path):

@@ -542,6 +542,13 @@ def probe_files(tmp_path, genesis_file, genesis_state, wallets):
             crash_rules=[{"node": 1, "from_tick": "0"}])),
         *((f"rng-seed-{kind}", lambda sc, seed=seed: sc["network"].update(rng_seed=seed))
           for kind, seed in _BAD_SEEDS.items()),
+        ("top-typo", lambda sc: sc.update(max_tick=5)),
+        ("network-typo", lambda sc: sc["network"].update(
+            crash_rule=[{"node": 1, "from_tick": 0}])),
+        ("actor-typo", lambda sc: sc["actors"].update(ann={"passphase": "x"})),
+        ("org-typo", lambda sc: sc["orgs"][0].update(admin=["boss"])),
+        ("workload-typo", lambda sc: sc["workload"][0].update(vai=2)),
+        ("workload-other-op-key", lambda sc: sc["workload"][0].update(user="ann")),
     ):
         scenario = json.loads(json.dumps(BASE))
         edit(scenario)
@@ -619,6 +626,13 @@ _PROBES = {
     "sim-crash-str-tick": ("sim run {scenario-crash-str-tick}", None, 3, "CrashRule from_tick"),
     **{f"sim-rng-seed-{kind}": (f"sim run {{scenario-rng-seed-{kind}}}", None, 3, "rng_seed")
        for kind in _BAD_SEEDS},
+    "sim-top-typo": ("sim run {scenario-top-typo}", None, 3, "unknown key 'max_tick'"),
+    "sim-network-typo": ("sim run {scenario-network-typo}", None, 3, "unknown key 'crash_rule'"),
+    "sim-actor-typo": ("sim run {scenario-actor-typo}", None, 3, "unknown key 'passphase'"),
+    "sim-org-typo": ("sim run {scenario-org-typo}", None, 3, "unknown key 'admin'"),
+    "sim-workload-typo": ("sim run {scenario-workload-typo}", None, 3, "unknown key 'vai'"),
+    "sim-workload-other-op-key": (
+        "sim run {scenario-workload-other-op-key}", None, 3, "unknown key 'user'"),
     "config-list": ("--config {config-list} wallet show", None, 2, "not a JSON object"),
     "config-unknown-key": (
         "--config {config-node-url-dashed} wallet show", None, 2, "unknown key 'node-url'"),

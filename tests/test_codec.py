@@ -29,6 +29,22 @@ def test_non_string_keys_rejected():
         codec.canonical_dumps({1: "a"})
 
 
+@pytest.mark.parametrize("text, value", [
+    ('{"org": "\\ud800"}', None),  # a lone high surrogate: no UTF-8 encoding holds it
+    ('["\\udc00"]', None),  # a lone low one
+    ('"\\ud83d\\ude00"', "\U0001f600"),  # an escaped pair is one character
+    ('"\\\\ud800"', "\\ud800"),  # a backslash, then the text ud800
+])
+def test_loads_refuses_a_lone_surrogate_only(text, value):
+    if value is None:
+        with pytest.raises(ValueError, match="surrogates not allowed"):
+            codec.loads(text)
+        with pytest.raises(ValueError, match="surrogates not allowed"):
+            codec.loads(text.encode())
+    else:
+        assert codec.loads(text) == codec.loads(text.encode()) == value
+
+
 def test_digest_matches_plain_sha256():
     obj = {"n": 42}
     expected = hashlib.sha256(b'{"n":42}').hexdigest()

@@ -188,6 +188,20 @@ def test_a_tx_counts_as_on_chain_only_for_replicas_that_reached_its_height(
     assert tx.tx_id in behind.mempool  # not yet on the crashed replica's chain
 
 
+def test_every_up_to_date_replica_refuses_gossip_whose_nonce_is_spent(vals, genesis_state, txf):
+    """A tx that is not on chain but reuses a committed nonce can never apply."""
+    net = _network(vals, genesis_state, rng_seed=9)
+    submit_tx(net, txf.grant("admin_acme", "acme", "member", "ledger", "read", nonce=0))
+    assert step_until_quiescent(net, 300)
+    assert all(n.next_height == 2 for n in net.nodes.values())
+    stale = txf.grant("admin_acme", "acme", "member", "api", "read", nonce=0)
+    assert submit_tx(net, stale)[0]
+    step(net)
+    step(net)  # every copy of the gossip is delivered
+    assert net.queue == [] and quiescent(net)
+    assert all(n.mempool == {} and n.round.view == 0 for n in net.nodes.values())
+
+
 def test_drop_rule_blocks_directed_link(vals, genesis_state, txf):
     net = _network(
         vals, genesis_state, rng_seed=10,
@@ -406,7 +420,7 @@ def test_a_network_without_the_trace_digest_commits_the_same_chain(
     vals, genesis_state, wallets, monkeypatch, schedule
 ):
     """Differential: only the trace digest differs between the two networks, and it is refused."""
-    from conftest import TxFactory
+    from conftest import TxFactory, committed_heights
     from rolechain.consensus import Message
     from rolechain.ledger import hash_header
 
@@ -440,7 +454,8 @@ def test_a_network_without_the_trace_digest_commits_the_same_chain(
         untraced, counted = run(False)
     assert counted == kept
     writes = len(_write_stream(TxFactory(wallets)))
-    assert len(untraced.tx_heights) == len(traced.tx_heights) == writes
+    for net in (untraced, traced):
+        assert all(len(committed_heights(n.chain)) == writes for n in net.nodes.values())
     assert len(untraced.trace) == len(traced.trace) > 0
     with pytest.raises(ValueError, match="only a count"):
         codec.digest(untraced.trace)

@@ -13,7 +13,7 @@ import tracemalloc
 
 import pytest
 
-from conftest import TxFactory
+from conftest import TxFactory, committed_heights
 from rolechain import consensus
 from rolechain.api import NodeHandle
 from rolechain.consensus import (
@@ -71,11 +71,11 @@ def test_bad_gossip_is_dropped_by_every_recipient_and_later_txs_commit(
     net.broadcast(TX_GOSSIP, vals[0], {"tx": bad})
     assert step_until_quiescent(net, 50)  # step() raised nothing
     assert all(node.mempool == {} for node in net.nodes.values())
-    assert net.tx_heights == {} and all(n.chain.height == 0 for n in net.nodes.values())
+    assert all(n.chain.height == 0 for n in net.nodes.values())
 
     ok, _, tx_id = submit_tx(net, txf.register("alice", "acme", "member"))
     assert ok and step_until_quiescent(net, 100)
-    assert net.tx_heights == {tx_id: 1}
+    assert all(committed_heights(n.chain) == {tx_id: 1} for n in net.nodes.values())
 
 
 def _refused_message(case, vals, block, proposal):
@@ -107,7 +107,7 @@ def test_refused_message_changes_nothing_and_later_txs_commit(genesis_file, txf,
 
     ok, _, tx_id = submit_tx(net, txf.register("bob", "acme", "member"))
     assert ok and step_until_quiescent(net, 100)
-    assert all(n.on_chain(tx_id) for n in net.nodes.values())
+    assert all(tx_id in committed_heights(n.chain) for n in net.nodes.values())
 
 
 def test_a_block_takes_max_block_txs_and_the_next_ready_tx_commits_after(genesis_file, txf):

@@ -1,11 +1,12 @@
 """The bulk envelope check of a replay against the per-tx check it stands in for.
 
 ``wallet.verify_envelopes`` checks contiguous shares of a chain's txs in
-forked children; ``ledger.replay`` marks each block whose txs all passed, and
-only that block's fold skips ``verify_envelope``. Each test here forces two
-usable CPUs, so a chain of two shares forks one child on any machine, and
-compares the result with the serial path: the same marks, the same verdict at
-the same height with the same message, and no child left behind.
+forked children; ``ledger.replay`` tells the fold of each block whose txs all
+passed to skip ``verify_envelope``. Each test here forces two usable CPUs, so
+a chain of two shares forks one child on any machine, and compares the result
+with the serial path: the same verdicts, the same failure at the same height
+with the same message, and no child left behind. The parent's calls of
+``verify_envelope`` show which folds skipped it: a child's calls are its own.
 """
 
 import dataclasses
@@ -103,15 +104,26 @@ def test_a_chain_too_small_to_pay_for_a_fork_is_checked_serially(wallets, forks)
     assert forks == []
 
 
+def _count_verifies(monkeypatch, child_exit=None) -> list:
+    """Record each call of ``verify_envelope`` in this process; a forked child calls *child_exit*."""
+    calls, parent, verify = [], os.getpid(), wallet.verify_envelope
+
+    def counted(tx):
+        if child_exit is not None and os.getpid() != parent:
+            child_exit()
+        calls.append(1)
+        return verify(tx)
+
+    monkeypatch.setattr(wallet, "verify_envelope", counted)
+    return calls
+
+
 def test_a_forked_replay_verifies_each_envelope_once(big_chain, genesis_state, forks, monkeypatch):
-    """The parent checks its half; no fold checks again, and every block is marked."""
-    calls = []
-    verify = wallet.verify_envelope
-    monkeypatch.setattr(wallet, "verify_envelope", lambda tx: calls.append(1) or verify(tx))
+    """The parent checks its half, and no fold checks again."""
+    calls = _count_verifies(monkeypatch)
     post = ledger.replay(genesis_state, big_chain)
     assert state_root(post) == big_chain.tip.header.state_root
     assert len(forks) == 1 and len(calls) == HALF
-    assert all(b.__dict__.get("_signed") for b in big_chain.blocks[1:])
     calls.clear()
     _with_another_thread(lambda: ledger.replay(genesis_state, big_chain))
     assert len(forks) == 1 and len(calls) == N_TXS
@@ -120,16 +132,16 @@ def test_a_forked_replay_verifies_each_envelope_once(big_chain, genesis_state, f
 @pytest.mark.parametrize("failure", ["short reply", "failed child"])
 def test_a_share_whose_child_fails_folds_with_every_check(big_chain, genesis_state, forks, monkeypatch,
                                                           failure):
-    parent, verify, real_exit = os.getpid(), wallet.verify_envelope, os._exit
+    real_exit = os._exit
     if failure == "short reply":  # the child leaves cleanly before a byte of its reply
-        monkeypatch.setattr(wallet, "verify_envelope",
-                            lambda tx: verify(tx) if os.getpid() == parent else real_exit(0))
+        calls = _count_verifies(monkeypatch, child_exit=lambda: real_exit(0))
     else:  # the child writes its whole reply, then exits 3
+        calls = _count_verifies(monkeypatch)
         monkeypatch.setattr(os, "_exit", lambda code: real_exit(3))
     post = ledger.replay(genesis_state, big_chain)
     assert state_root(post) == big_chain.tip.header.state_root and len(forks) == 1
-    ends = range(PER_BLOCK, N_TXS + 1, PER_BLOCK)
-    assert [bool(b.__dict__.get("_signed")) for b in big_chain.blocks[1:]] == [end <= HALF for end in ends]
+    # The parent's half in bulk, then the child's half in the folds of its blocks.
+    assert HALF % PER_BLOCK == 0 and len(calls) == N_TXS
 
 
 def _with_bad_signature(chain, height: int, index: int):
@@ -151,18 +163,14 @@ def _with_bad_signature(chain, height: int, index: int):
     (30, 19, "transaction 19 invalid: BadSignature"),  # the last block
 ], ids=["parent's share", "child's share", "last block"])
 def test_a_bad_signature_fails_at_its_height_with_its_message(big_chain, genesis_state, forks,
-                                                              height, index, message):
+                                                              monkeypatch, height, index, message):
     chain = _with_bad_signature(big_chain, height, index)
     assert chain.height == 30
+    calls = _count_verifies(monkeypatch)
     failure = ledger.verify_chain(chain, genesis_state)
     assert (failure.height, str(failure)) == (height, message) and len(forks) == 1
-    assert chain.blocks[height].__dict__["_signed"] is False
+    # Only the failing block folds with every check, up to its bad tx.
+    assert len(calls) == HALF + index + 1
     serial = _with_another_thread(lambda: ledger.verify_chain(chain, genesis_state))
     assert (serial.height, str(serial)) == (height, message) and len(forks) == 1
 
-
-def test_a_copy_of_a_marked_block_carries_no_mark(big_chain, genesis_state):
-    ledger.replay(genesis_state, big_chain)
-    block = big_chain.blocks[1]
-    assert block.__dict__.get("_signed") is True
-    assert "_signed" not in dataclasses.replace(block).__dict__

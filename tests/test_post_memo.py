@@ -46,7 +46,7 @@ from rolechain.ledger import build_block, hash_header, new_chain, replay, verify
 from rolechain.state import WorldState, state_root
 from rolechain.store import build_genesis_state
 
-from conftest import PASSPHRASE
+from conftest import PASSPHRASE, committed_heights
 from workloads import WorkloadBuilder
 
 HORIZON = 200
@@ -210,7 +210,7 @@ def test_commit_whose_block_fails_validation_counts_but_is_not_adopted(genesis_f
 
     ok, _, tx_id = submit_tx(net, txf.register("bob", "acme", "member"))
     assert ok and step_until_quiescent(net, 100)
-    assert all(n.on_chain(tx_id) for n in net.nodes.values())
+    assert all(tx_id in committed_heights(n.chain) for n in net.nodes.values())
 
 
 @pytest.fixture

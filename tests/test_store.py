@@ -197,6 +197,35 @@ def test_a_line_nested_too_deep_is_json_that_does_not_parse(tmp_path, chain10, f
         assert exc.value.height == at
 
 
+@pytest.mark.parametrize("final", [False, True])
+def test_a_line_whose_tx_holds_a_lone_surrogate_is_corrupt_at_its_height(tmp_path, chain10,
+                                                                         genesis_file, final):
+    """The CRC matches and the JSON parses, but no canonical encoding holds the string."""
+    from click.testing import CliRunner
+
+    from rolechain.cli import main
+
+    store = _write(tmp_path, chain10)
+    lines = store.path.read_bytes().split(b"\n")
+    at = len(lines) - 2 if final else 5
+    block = json.loads(lines[at])["block"]
+    block["transactions"][0]["payload"]["org"] = "\ud800"
+    body = json.dumps(block, sort_keys=True, separators=(",", ":")).encode()
+    assert b'"org":"\\ud800"' in body
+    lines[at] = b'{"block":%s,"crc32":"%08x"}' % (body, zlib.crc32(body))
+    store.path.write_bytes(b"\n".join(lines))
+    before = store.path.read_bytes()
+    with pytest.raises(CorruptStore, match="surrogates not allowed") as exc:
+        load_chain(open_store(store.path))
+    assert exc.value.height == at and store.path.read_bytes() == before
+    save_genesis(genesis_file, tmp_path / "genesis.json")
+    r = CliRunner().invoke(main, [
+        "chain", "verify", str(store.path), "--genesis", str(tmp_path / "genesis.json"),
+    ])
+    assert r.exit_code == 4, (r.output, r.exception)
+    assert r.output.startswith(f"FAILED at height {at}: store line {at} unreadable")
+
+
 def test_empty_store_is_corrupt(tmp_path):
     with pytest.raises(CorruptStore):
         load_chain(open_store(tmp_path / "void.jsonl"))

@@ -16,7 +16,7 @@ from rolechain.consensus import Network, NetworkConfig, step_until_quiescent, su
 from rolechain.store import build_genesis_state, save_genesis
 from rolechain.wallet import save_wallet
 
-from conftest import make_chain
+from conftest import committed_heights, make_chain
 
 WRITES = 20
 # Ed25519 verifies per committed write: admission, whose verified tx is the
@@ -114,7 +114,7 @@ def test_work_per_committed_write_stays_within_the_measured_counts(genesis_file,
     for tx in txs:
         assert submit_tx(net, tx, via=vals[0])[0]
         assert step_until_quiescent(net, 400)
-    assert len(net.tx_heights) == WRITES
+    assert len(committed_heights(net.nodes[vals[0]].chain)) == WRITES
     assert all(node.next_height == WRITES + 1 for node in net.nodes.values())
     assert counts["verify"] <= VERIFIES_PER_TX * WRITES
     assert counts["encode"] <= ENCODES_PER_TX * WRITES
