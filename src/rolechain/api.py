@@ -16,7 +16,9 @@ from __future__ import annotations
 import os
 import re
 import threading
+import time
 from dataclasses import dataclass
+from email.utils import formatdate
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 from urllib.parse import parse_qs, urlparse
@@ -50,8 +52,16 @@ SHUTDOWN_POLL_S = 0.05
 # Longest a connection's socket read or write may wait before the handler
 # closes it, so a client that stalls mid-request or idles holds no thread.
 REQUEST_TIMEOUT_S = 30
+# Most connections served at once; one more gets 503 and a close, and no thread.
+MAX_CONNECTIONS = 64
 
-_LENGTH_RE = re.compile(r"[0-9]{1,18}[ \t]*")
+# The stdlib's head limits: a line holds at most 65,536 bytes, and the header
+# block at most 100 lines, the blank line that ends it included.
+_MAX_LINE = 65536
+_MAX_HEAD_LINES = 100
+_LENGTH_RE = re.compile(r"[0-9]{1,18}")
+_VERSION_RE = re.compile(r"HTTP/([0-9]{1,10})\.([0-9]{1,10})")
+_TOKEN_RE = re.compile(r"[!#$%&'*+\-.^_`|~0-9A-Za-z]+")  # an RFC 9110 field name
 
 
 class ApiFailure(Exception):
@@ -147,11 +157,11 @@ class NodeHandle:
 class _Handler(BaseHTTPRequestHandler):
     server_version = "rolechain/0.1"
     protocol_version = "HTTP/1.1"
-    # Send each reply at once: a buffered writer joins the headers and body
-    # into one write, flushed at the end of every request, and with Nagle
-    # off that write does not wait for the client's delayed ACK.
+    # Each reply is one bytes object, so an unbuffered writer sends it in one
+    # write (and a 100 Continue at once); with Nagle off that write does not
+    # wait for the client's delayed ACK.
     disable_nagle_algorithm = True
-    wbufsize = -1
+    wbufsize = 0
     timeout = REQUEST_TIMEOUT_S
 
     # --- plumbing ---------------------------------------------------------
@@ -163,15 +173,86 @@ class _Handler(BaseHTTPRequestHandler):
     def log_message(self, fmt, *args):  # noqa: N802 - stdlib naming
         pass
 
+    def parse_request(self) -> bool:
+        """Read the head into ``self.headers``, a dict keyed by lower-cased name.
+
+        The request line, the limits and the ``Connection`` and ``Expect``
+        rules are the stdlib's, verdicts and replies alike. Stricter than it:
+        a header line that is not a token name, a colon and a value, a
+        ``Transfer-Encoding`` and a second ``Content-Length`` each get 400 and
+        a close, since the body's framing is then unknown.
+        """
+        self.command = None
+        self.request_version = self.default_request_version
+        self.close_connection = True
+        self.requestline = str(self.raw_requestline, "iso-8859-1").rstrip("\r\n")
+        words = self.requestline.split()
+        if not words:
+            return False
+        if len(words) >= 3:
+            version = words[-1]
+            number = _VERSION_RE.fullmatch(version)
+            if number is None:
+                self.send_error(400, f"Bad request version ({version!r})")
+                return False
+            major, minor = int(number[1]), int(number[2])
+            self.close_connection = (major, minor) < (1, 1)
+            if major >= 2:
+                self.send_error(505, f"Invalid HTTP version ({version[5:]})")
+                return False
+            self.request_version = version
+        if not 2 <= len(words) <= 3:
+            self.send_error(400, f"Bad request syntax ({self.requestline!r})")
+            return False
+        command, path = words[:2]
+        if len(words) == 2:
+            self.close_connection = True
+            if command != "GET":
+                self.send_error(400, f"Bad HTTP/0.9 request type ({command!r})")
+                return False
+        self.command = command
+        self.path = "/" + path.lstrip("/") if path.startswith("//") else path
+
+        headers, malformed = {}, None
+        for count in range(_MAX_HEAD_LINES + 1):  # the lines read before this one
+            line = self.rfile.readline(_MAX_LINE + 1)
+            if len(line) > _MAX_LINE:
+                explain = f"got more than {_MAX_LINE} bytes when reading header line"
+                self.send_error(431, "Line too long", explain)
+                return False
+            if count == _MAX_HEAD_LINES:
+                self.send_error(431, "Too many headers", f"got more than {_MAX_HEAD_LINES} headers")
+                return False
+            if line in (b"\r\n", b"\n", b""):
+                break
+            name, colon, value = str(line, "iso-8859-1").partition(":")
+            name = name.lower()
+            if not colon or not _TOKEN_RE.fullmatch(name):
+                malformed = malformed or f"header line {count + 1} is not a name, a colon and a value"
+            elif name == "content-length" and name in headers:
+                malformed = malformed or "more than one Content-Length"
+            else:
+                headers.setdefault(name, value.strip(" \t\r\n"))
+        if malformed is None and "transfer-encoding" in headers:
+            malformed = "Transfer-Encoding is not accepted; frame the body by Content-Length"
+        if malformed is not None:
+            self._error(400, "Malformed", malformed, close=True)
+            return False
+        self.headers = headers
+        connection = headers.get("connection", "").lower()
+        if connection == "close":
+            self.close_connection = True
+        elif connection == "keep-alive":
+            self.close_connection = False
+        expect = headers.get("expect", "").lower()
+        if expect == "100-continue" and self.request_version >= "HTTP/1.1":
+            return self.handle_expect_100()
+        return True
+
     def _reply(self, status: int, body: dict, close: bool = False) -> None:
-        data = codec.canonical_dumps(body).encode("utf-8") + b"\n"
-        self.send_response(status)
         if close:
-            self.send_header("Connection", "close")
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(data)))
-        self.end_headers()
-        self.wfile.write(data)
+            self.close_connection = True
+        self.wfile.write(_response(status, body, close, self.request_version))
 
     def _error(self, status: int, code: str, message: str, close: bool = False) -> None:
         self._reply(status, {"code": code, "message": message}, close)
@@ -183,7 +264,7 @@ class _Handler(BaseHTTPRequestHandler):
             url = urlparse(self.path)
             if url.path != "/v1/transactions":
                 return self._error(404, "NotFound", f"no such endpoint {url.path}", close=True)
-            length = self.headers.get("Content-Length")
+            length = self.headers.get("content-length")
             if length is None:
                 return self._error(400, "Malformed", "Content-Length is required")
             # A length that frames no body, or a body left unread, ends the connection.
@@ -340,12 +421,68 @@ _GET_PATTERNS = tuple((re.compile(pattern), name) for pattern, name in (
 ))
 
 
+_SERVER = f"{_Handler.server_version} {_Handler.sys_version}"
+_date = (0, "")  # (second, its HTTP date), replaced whole so no thread reads a torn pair
+
+
+def _http_date() -> str:
+    global _date
+    second, text = _date
+    now = int(time.time())
+    if second != now:
+        text = formatdate(now, usegmt=True)
+        _date = (now, text)
+    return text
+
+
+def _response(status: int, body: dict, close: bool, version: str = "HTTP/1.1") -> bytes:
+    """The whole reply ``send_response`` and ``send_header`` would write: head, then JSON body."""
+    data = codec.canonical_dumps(body).encode("utf-8") + b"\n"
+    if version == "HTTP/0.9":  # a 0.9 reply has no head
+        return data
+    connection = "Connection: close\r\n" if close else ""
+    return (
+        f"HTTP/1.1 {status} {_Handler.responses[status][0]}\r\nServer: {_SERVER}\r\n"
+        f"Date: {_http_date()}\r\n{connection}Content-Type: application/json\r\n"
+        f"Content-Length: {len(data)}\r\n\r\n"
+    ).encode("latin-1") + data
+
+
+class _Server(ThreadingHTTPServer):
+    """Serves at most ``MAX_CONNECTIONS`` connections at once, one thread each."""
+
+    def __init__(self, address, handler):
+        super().__init__(address, handler)
+        self._slots = threading.BoundedSemaphore(MAX_CONNECTIONS)
+
+    def process_request(self, request, client_address):
+        if not self._slots.acquire(blocking=False):
+            body = {"code": "Unavailable", "message": f"over {MAX_CONNECTIONS} connections"}
+            try:
+                request.sendall(_response(503, body, close=True))
+            except OSError:
+                pass
+            self.shutdown_request(request)
+            return
+        try:
+            super().process_request(request, client_address)
+        except BaseException:  # no thread started, so none will release the slot
+            self._slots.release()
+            raise
+
+    def process_request_thread(self, request, client_address):
+        try:
+            super().process_request_thread(request, client_address)
+        finally:
+            self._slots.release()
+
+
 class ApiServer:
     """Threaded HTTP server bound to one NodeHandle."""
 
     def __init__(self, handle: NodeHandle, listen: str = "127.0.0.1:0"):
         host, _, port = listen.partition(":")
-        self._httpd = ThreadingHTTPServer((host, int(port or 0)), _Handler)
+        self._httpd = _Server((host, int(port or 0)), _Handler)
         self._httpd.node_handle = handle  # type: ignore[attr-defined]
         self._thread: threading.Thread | None = None
         self.handle = handle

@@ -2,6 +2,7 @@ import dataclasses
 import http.client
 import json
 import socket
+import sys
 import threading
 import time
 
@@ -306,20 +307,26 @@ def test_a_block_height_too_long_for_int_is_not_found_and_the_server_still_answe
     assert requests.get(s0.url + "/v1/status", timeout=30).status_code == 200
 
 
-def _raw_post(sock, headers: str) -> tuple[http.client.HTTPResponse, dict]:
-    """Send a POST head (and no body) on *sock*; parse the one reply."""
-    sock.sendall(f"POST /v1/transactions HTTP/1.1\r\nHost: x\r\n{headers}\r\n".encode())
+def _raw_reply(sock, sent: bytes) -> tuple[http.client.HTTPResponse, dict]:
+    """Send *sent* on *sock*; parse the one reply."""
+    sock.sendall(sent)
     resp = http.client.HTTPResponse(sock)
     resp.begin()
     return resp, json.loads(resp.read())
 
 
+def _raw_post(sock, headers: str) -> tuple[http.client.HTTPResponse, dict]:
+    """Send a POST head (and no body) on *sock*; parse the one reply."""
+    return _raw_reply(sock, f"POST /v1/transactions HTTP/1.1\r\nHost: x\r\n{headers}\r\n".encode())
+
+
+STATUS = b"GET /v1/status HTTP/1.1\r\nHost: x\r\n\r\n"
+
+
 def _raw_status(sock) -> dict:
-    sock.sendall(b"GET /v1/status HTTP/1.1\r\nHost: x\r\n\r\n")
-    resp = http.client.HTTPResponse(sock)
-    resp.begin()
+    resp, body = _raw_reply(sock, STATUS)
     assert resp.status == 200
-    return json.loads(resp.read())
+    return body
 
 
 @pytest.mark.parametrize("headers, status", [
@@ -368,6 +375,116 @@ def test_a_stalled_request_is_disconnected_after_the_timeout(cluster, monkeypatc
         assert time.monotonic() - start < 5
     with socket.create_connection(("127.0.0.1", s0.port), timeout=10) as sock:
         assert _raw_status(sock)["height"] == 0
+
+
+@pytest.mark.parametrize("line", [
+    "Host : x",  # whitespace between the name and its colon
+    "X-A: 1\r\n 2",  # an obs-fold continuation line
+    "Host x",  # no colon, after which a lenient parser drops every later header
+    "X(A): 1",  # a name that is not a token
+], ids=["space-before-colon", "obs-fold", "no-colon", "name-not-a-token"])
+def test_a_malformed_header_line_is_refused_and_closes(cluster, line):
+    s0, _ = cluster
+    with socket.create_connection(("127.0.0.1", s0.port), timeout=10) as sock:
+        resp, body = _raw_reply(sock, f"GET /v1/status HTTP/1.1\r\n{line}\r\nAccept: */*\r\n\r\n".encode())
+        assert resp.status == 400 and body["code"] == "Malformed"
+        assert resp.getheader("Connection") == "close"
+        assert sock.recv(1) == b""
+    with socket.create_connection(("127.0.0.1", s0.port), timeout=10) as sock:
+        assert _raw_status(sock)["height"] == 0
+
+
+@pytest.mark.parametrize("framing, body", [
+    ("Transfer-Encoding: chunked\r\n", "5\r\nhello\r\n0\r\n\r\n"),
+    ("Content-Length: 2\r\nContent-Length: 50\r\n", "{}" + " " * 48),
+], ids=["transfer-encoding", "two-content-lengths"])
+def test_a_body_whose_framing_is_in_doubt_is_refused_and_closes(cluster, framing, body):
+    """Read on, the rest of such a body would be parsed as the next request."""
+    s0, _ = cluster
+    with socket.create_connection(("127.0.0.1", s0.port), timeout=10) as sock:
+        sent = f"POST /v1/transactions HTTP/1.1\r\nHost: x\r\n{framing}\r\n{body}".encode()
+        resp, reply = _raw_reply(sock, sent)
+        assert resp.status == 400 and reply["code"] == "Malformed"
+        assert resp.getheader("Connection") == "close"
+        assert sock.recv(1) == b""  # no second reply to the body's bytes
+    with socket.create_connection(("127.0.0.1", s0.port), timeout=10) as sock:
+        assert _raw_status(sock)["height"] == 0
+
+
+def _wait_until_served_at_once(port: int, count: int) -> None:
+    """Wait until *count* connections open at once are all served, as ended ones free their slots."""
+    deadline = time.monotonic() + 5
+    while True:
+        held = [socket.create_connection(("127.0.0.1", port), timeout=10) for _ in range(count)]
+        try:
+            statuses = [_raw_reply(sock, STATUS)[0].status for sock in held]
+        except ConnectionError:  # refused with the request unread
+            statuses = []
+        finally:
+            for sock in held:
+                sock.close()
+        if statuses == [200] * count:
+            return
+        assert time.monotonic() < deadline
+        time.sleep(0.05)
+
+
+def test_a_connection_over_the_cap_gets_503_and_no_thread(genesis_file, genesis_state, monkeypatch):
+    monkeypatch.setattr(api, "MAX_CONNECTIONS", 2)
+    vals = list(genesis_file.validators)
+    server = ApiServer(NodeHandle(Network(NetworkConfig(validators=vals), genesis_state), vals[0]))
+    server.start()
+    held = [socket.create_connection(("127.0.0.1", server.port), timeout=10) for _ in range(2)]
+    try:
+        for sock in held:  # each keep-alive connection holds its slot
+            assert _raw_status(sock)["height"] == 0
+        threads = threading.active_count()
+        with socket.create_connection(("127.0.0.1", server.port), timeout=10) as sock:
+            resp = http.client.HTTPResponse(sock)
+            resp.begin()
+            assert resp.status == 503 and json.loads(resp.read())["code"] == "Unavailable"
+            assert resp.getheader("Connection") == "close"
+            assert sock.recv(1) == b""
+        assert threading.active_count() == threads
+        held.pop().close()  # its thread ends and gives the slot back
+        _wait_until_served_at_once(server.port, 1)
+    finally:
+        for sock in held:
+            sock.close()
+        server.stop()
+
+
+def test_connections_racing_for_the_slots_give_each_one_back(genesis_file, genesis_state, monkeypatch):
+    """Clients outnumber the slots and the cores; once they are gone, every slot is free."""
+    monkeypatch.setattr(api, "MAX_CONNECTIONS", 3)
+    vals = list(genesis_file.validators)
+    server = ApiServer(NodeHandle(Network(NetworkConfig(validators=vals), genesis_state), vals[0]))
+    server.start()
+    outcomes = []
+
+    def client():
+        for _ in range(5):
+            try:
+                with socket.create_connection(("127.0.0.1", server.port), timeout=10) as sock:
+                    resp, _ = _raw_reply(sock, STATUS)
+                    outcomes.append(resp.status)
+            except ConnectionError:  # refused with the request unread
+                outcomes.append(503)
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        clients = [threading.Thread(target=client) for _ in range(8)]
+        for thread in clients:
+            thread.start()
+        for thread in clients:
+            thread.join(timeout=30)
+        assert not any(thread.is_alive() for thread in clients)
+        assert len(outcomes) == 40 and set(outcomes) <= {200, 503} and 200 in outcomes
+        _wait_until_served_at_once(server.port, 3)
+    finally:
+        sys.setswitchinterval(switch)
+        server.stop()
 
 
 def test_keep_alive_connection_serves_two_requests(cluster, monkeypatch):

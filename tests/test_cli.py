@@ -1,6 +1,5 @@
 import dataclasses
 import hashlib
-import io
 import json
 import os
 import socket
@@ -26,6 +25,27 @@ from conftest import PASSPHRASE, make_chain
 from test_scenario import BASE
 
 
+class _TeeReader:
+    """A handler's ``rfile`` that appends each chunk it reads to *captured*."""
+
+    def __init__(self, rfile, captured: list[bytes]):
+        self._rfile = rfile
+        self._captured = captured
+
+    def readline(self, limit=-1):
+        line = self._rfile.readline(limit)
+        self._captured.append(line)
+        return line
+
+    def read(self, size=-1):
+        data = self._rfile.read(size)
+        self._captured.append(data)
+        return data
+
+    def __getattr__(self, name):
+        return getattr(self._rfile, name)
+
+
 class RecordingServer:
     """Real node API plus a capture of every byte the client sends."""
 
@@ -33,16 +53,9 @@ class RecordingServer:
         captured: list[bytes] = []
 
         class Handler(_Handler):
-            def do_GET(self):  # noqa: N802
-                captured.append(self.requestline.encode() + bytes(self.headers))
-                super().do_GET()
-
-            def do_POST(self):  # noqa: N802
-                length = int(self.headers.get("Content-Length") or 0)
-                body = self.rfile.read(length)
-                captured.append(self.requestline.encode() + bytes(self.headers) + body)
-                self.rfile = io.BytesIO(body)
-                super().do_POST()
+            def setup(self):
+                super().setup()
+                self.rfile = _TeeReader(self.rfile, captured)
 
         self.captured = captured
         self._httpd = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
